@@ -3,7 +3,8 @@
 Subcommands: ``query`` answers a probabilistic query against a KB file,
 ``gen`` prints a generated KB, ``bench`` runs the chain scaling table and
 ``check`` tests consistency.  Exit codes: 0 on success, 1 on a parse
-error, 2 when a timeout or budget is exhausted.
+error, 2 when a timeout or budget is exhausted or the reasoner runs out
+of Python stack.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     )
     try:
         result = probability_query(kb, query, config)
-    except (ResourceLimitError, WorldLimitError) as error:
+    except (ResourceLimitError, WorldLimitError, RecursionError) as error:
         print(f"aborted: {error}", file=sys.stderr)
         return EXIT_RESOURCE
     if args.dot:
@@ -184,6 +185,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "justifications": len(result.covering),
                 "bdd_nodes": result.bdd_nodes,
                 "probability": result.probability,
+                "tableau_calls": result.covering.tableau_calls,
                 "time_s": elapsed,
             }
         )
@@ -205,7 +207,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         consistent = is_consistent(
             [a.axiom for a in kb.axioms], deadline=Deadline.after(args.timeout)
         )
-    except ResourceLimitError as error:
+    except (ResourceLimitError, RecursionError) as error:
         print(f"aborted: {error}", file=sys.stderr)
         return EXIT_RESOURCE
     if args.json:

@@ -5,15 +5,19 @@ query.  Two routes produce a single justification: the glass-box route
 minimizes the axiom trace reported by the tableau, the black-box route
 grows a candidate set by signature connectivity and then minimizes it.
 Both minimize with the same single-pass deletion sweep in ascending index
-order, so each route is deterministic.
+order, so each route is deterministic.  A glass-box trace is also the
+entailment test: the tableau either closes and reports the trace, or
+finds a model and the route returns None.  The black-box route makes one
+entailment check before it expands.  Either way one reasoner call tells
+whether the axioms entail the query, and the sweep does not ask again.
 
 The complete set of justifications comes from a hitting set tree: every
 tree edge removes one axiom of its parent's justification, and each child
-recomputes a justification over the reduced knowledge base.  Paths that
-repeat an already-visited removal set are pruned, and a node whose removal
-path misses some known justification reuses it without calling the
-reasoner.  The traversal terminates with exactly the set of all
-justifications.
+recomputes a justification over the reduced knowledge base; when that
+step finds no entailment, the child is a closed leaf.  Paths that repeat
+an already-visited removal set are pruned, and a node whose removal path
+misses some known justification reuses it without calling the reasoner.
+The traversal terminates with exactly the set of all justifications.
 """
 
 from __future__ import annotations
@@ -80,14 +84,18 @@ class _Session:
             deadline=self.deadline,
         )
 
-    def trace(self, indices: Iterable[int]) -> frozenset[int]:
+    def trace(self, indices: Iterable[int]) -> frozenset[int] | None:
+        """The tableau's axiom trace, or None when the query is not entailed."""
         self.tableau_calls += 1
-        return trace_entailment(
-            self.kb.indexed(indices),
-            self.query,
-            node_budget=self.node_budget,
-            deadline=self.deadline,
-        )
+        try:
+            return trace_entailment(
+                self.kb.indexed(indices),
+                self.query,
+                node_budget=self.node_budget,
+                deadline=self.deadline,
+            )
+        except NotEntailedError:
+            return None
 
 
 def minimize(
@@ -105,13 +113,15 @@ def minimize(
     candidate does not entail the query in the first place.
     """
     session = _Session(kb, query, node_budget, deadline)
-    return _minimize(session, candidate)
-
-
-def _minimize(session: _Session, candidate: Iterable[int]) -> Justification:
     current = set(candidate)
     if not session.entails(current):
         raise NotEntailedError("candidate does not entail the query")
+    return _minimize(session, current)
+
+
+def _minimize(session: _Session, candidate: Iterable[int]) -> Justification:
+    """The deletion sweep over a candidate already known to entail the query."""
+    current = set(candidate)
     for index in sorted(current):
         reduced = current - {index}
         if session.entails(reduced):
@@ -135,13 +145,20 @@ def single_justification(
     """
     session = _Session(kb, query, node_budget, deadline)
     indices = sorted(subset) if subset is not None else list(range(len(kb)))
-    return _single(session, indices, method)
+    just = _single(session, indices, method)
+    if just is None:
+        raise NotEntailedError("axioms do not entail the query")
+    return just
 
 
-def _single(session: _Session, indices: list[int], method: str) -> Justification:
+def _single(session: _Session, indices: list[int], method: str) -> Justification | None:
+    """One justification within ``indices``, or None when they do not entail the query."""
     if method == "glassbox":
-        return _minimize(session, session.trace(indices))
+        trace = session.trace(indices)
+        return None if trace is None else _minimize(session, trace)
     if method == "blackbox":
+        if not session.entails(indices):
+            return None
         return _minimize(session, _expand(session, indices))
     raise ValueError(f"unknown justification method {method!r}")
 
@@ -152,7 +169,8 @@ def _expand(session: _Session, indices: list[int]) -> list[int]:
     Starts from the query's signature and stops at the first wave whose
     working set entails the query.  When the waves stall without reaching
     entailment (the entailment may rest on an inconsistency sharing no
-    names with the query), one final wave adds everything left.
+    names with the query), one final wave adds everything left.  The
+    caller has already checked that ``indices`` entail the query.
     """
     assertions, _ = refutation_assertions(session.query)
     reached: set[str] = set()
@@ -168,10 +186,8 @@ def _expand(session: _Session, indices: list[int]) -> list[int]:
         remaining = [i for i in remaining if i not in set(wave)]
         for i in wave:
             reached |= signature(session.kb.axiom(i))
-        if session.entails(working):
+        if session.entails(working) or not remaining:
             return working
-        if not remaining:
-            raise NotEntailedError("axioms do not entail the query")
 
 
 def all_justifications(
@@ -190,10 +206,9 @@ def all_justifications(
     """
     session = _Session(kb, query, node_budget, deadline)
     all_indices = list(range(len(kb)))
-    if not session.entails(all_indices):
-        return CoveringSet(frozenset(), session.tableau_calls, 0)
-
     root = _single(session, all_indices, method)
+    if root is None:
+        return CoveringSet(frozenset(), session.tableau_calls, 0)
     # Discovery order makes node reuse deterministic.
     found: list[Justification] = [root]
     visited_paths: set[frozenset[int]] = {frozenset()}
@@ -223,8 +238,8 @@ def all_justifications(
                 queue.append((new_path, reused))
                 continue
             reduced = [i for i in all_indices if i not in new_path]
-            if session.entails(reduced):
-                label_for_child = _single(session, reduced, method)
+            label_for_child = _single(session, reduced, method)
+            if label_for_child is not None:
                 found.append(label_for_child)
                 queue.append((new_path, label_for_child))
             # Otherwise the path hits every justification: a closed leaf.

@@ -9,13 +9,15 @@ probabilistic view preserves list order as well: the i-th annotated axiom
 in list order is "ordinal" i, which doubles as the diagram variable order.
 
 Everything here is immutable after construction and safe to share across
-concurrent readers.
+concurrent readers.  Axioms memoise their tableau form on first use; the
+memo is a pure function of the fields, so the model stays logically
+immutable, and it is freed with its axiom instead of held process-wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Union
 
 
@@ -92,6 +94,11 @@ class SubClassOf(Axiom):
     sub: Concept
     sup: Concept
 
+    @cached_property
+    def constraint(self) -> Concept:
+        """The internalised form ``not sub or sup``, in negation normal form."""
+        return nnf(Or(Not(self.sub), self.sup))
+
 
 @dataclass(frozen=True)
 class ConceptAssertion(Axiom):
@@ -101,6 +108,11 @@ class ConceptAssertion(Axiom):
     def __post_init__(self) -> None:
         if not self.individual:
             raise ValueError("individual name must be non-empty")
+
+    @cached_property
+    def normal(self) -> Concept:
+        """The asserted concept in negation normal form."""
+        return nnf(self.concept)
 
 
 @dataclass(frozen=True)
@@ -231,7 +243,6 @@ class KnowledgeBase:
 # Negation normal form
 
 
-@lru_cache(maxsize=None)
 def nnf(c: Concept) -> Concept:
     """Equivalent concept with negation only directly above atomic names.
 

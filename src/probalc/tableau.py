@@ -44,7 +44,6 @@ from .kb import (
     RoleAssertion,
     SubClassOf,
     Top,
-    nnf,
     refutation_assertions,
 )
 
@@ -261,22 +260,6 @@ def _solve_subtree(
     return _solve(graph, ancestors)
 
 
-def _gci_constraint(axiom: SubClassOf) -> Concept:
-    return _constraint_cached(axiom.sub, axiom.sup)
-
-
-_constraint_cache: dict[tuple[Concept, Concept], Concept] = {}
-
-
-def _constraint_cached(sub: Concept, sup: Concept) -> Concept:
-    key = (sub, sup)
-    cached = _constraint_cache.get(key)
-    if cached is None:
-        cached = nnf(Or(Not(sub), sup))
-        _constraint_cache[key] = cached
-    return cached
-
-
 def _refute(
     seeded: list[tuple[frozenset[int], Axiom]],
     node_budget: int,
@@ -288,7 +271,7 @@ def _refute(
     is consistent) and the union of branch clash traces otherwise.
     """
     gcis = [
-        (trace, _gci_constraint(axiom))
+        (trace, axiom.constraint)
         for trace, axiom in seeded
         if type(axiom) is SubClassOf
     ]
@@ -306,7 +289,7 @@ def _refute(
     for trace, axiom in seeded:
         t = type(axiom)
         if t is ConceptAssertion:
-            graph.add(node_for(axiom.individual), nnf(axiom.concept), trace)
+            graph.add(node_for(axiom.individual), axiom.normal, trace)
         elif t is RoleAssertion:
             subject = node_for(axiom.subject)
             obj = node_for(axiom.object)

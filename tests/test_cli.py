@@ -178,6 +178,7 @@ class TestBenchCommand:
         rows = json.loads(out.strip().splitlines()[-1])
         assert rows[0]["n"] == 2
         assert rows[0]["justifications"] == 4
+        assert rows[0]["tableau_calls"] == 32
         assert abs(rows[0]["probability"] - 0.504**2) < 1e-9
 
     def test_timeout_rows_print_dashes(self, capsys):
@@ -210,6 +211,16 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", str(path))
         assert code == EXIT_PARSE
         assert "parse error" in err
+
+
+@pytest.mark.parametrize("command", [["query", "A0 <= A1200"], ["check"]], ids=["query", "check"])
+def test_reasoner_recursion_error_aborts(capsys, tmp_path, command):
+    """A chain of 1,200 inclusions exhausts the Python stack in the tableau."""
+    path = tmp_path / "long.kb"
+    path.write_text("".join(f"0.99 :: A{i} <= A{i + 1}\n" for i in range(1200)))
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == EXIT_RESOURCE
+    assert "aborted" in err
 
 
 class TestEntrypoint:

@@ -111,6 +111,20 @@ class TestAllJustifications:
         covering = all_justifications(generate_synthetic(n), chain_query(n))
         assert len(covering) == 2**n
 
+    @pytest.mark.parametrize(
+        "method, crime_calls, chain_calls", [("glassbox", 13, 92), ("blackbox", 18, 128)]
+    )
+    def test_reasoner_call_counts(self, crime_kb, crime_query, method, crime_calls, chain_calls):
+        """One reasoner call per computed node says whether it entails; sweeps do the rest."""
+        crime = all_justifications(crime_kb, crime_query, method)
+        assert (crime.tableau_calls, crime.hst_nodes) == (crime_calls, 7)
+        chain = all_justifications(generate_synthetic(3), chain_query(3), method)
+        assert (chain.tableau_calls, chain.hst_nodes) == (chain_calls, 44)
+
+    def test_unknown_method_on_an_unentailed_query(self, crime_kb):
+        with pytest.raises(ValueError):
+            all_justifications(crime_kb, UNENTAILED, "telepathy")
+
     def test_not_entailed_gives_empty_covering(self, crime_kb):
         covering = all_justifications(crime_kb, UNENTAILED)
         assert covering.justifications == frozenset()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,7 +35,11 @@ from probalc.kb import (
     vocabulary,
 )
 from probalc.generators import random_kb
+from probalc.parser import parse_kb, parse_query
+from probalc.semantics import probability_query
 from probalc.tableau import entails
+
+SAMPLE_KB = Path(__file__).resolve().parent.parent / "samples" / "crime.kb"
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -196,3 +204,15 @@ class TestKnowledgeBase:
         assert And(A, B) == And(A, B)
         assert And(A, B) != And(B, A)
         assert Top() == TOP and Bottom() == BOTTOM
+
+    def test_released_after_a_query(self):
+        """No module-level cache keeps a KB's axioms or concepts alive."""
+        kb = parse_kb(SAMPLE_KB.read_text())
+        axioms = [a.axiom for a in kb.axioms]
+        subs = [axiom.sub for axiom in axioms if isinstance(axiom, SubClassOf)]
+        refs = [weakref.ref(obj) for obj in axioms + subs]
+        del axioms, subs
+        probability_query(kb, parse_query("raskolnikov : GreatMan"))
+        del kb
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 6
