@@ -186,7 +186,7 @@ def _expand(session: _Session, indices: list[int]) -> list[int]:
         remaining = [i for i in remaining if i not in set(wave)]
         for i in wave:
             reached |= signature(session.kb.axiom(i))
-        if session.entails(working) or not remaining:
+        if not remaining or session.entails(working):
             return working
 
 

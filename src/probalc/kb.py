@@ -9,8 +9,8 @@ probabilistic view preserves list order as well: the i-th annotated axiom
 in list order is "ordinal" i, which doubles as the diagram variable order.
 
 Everything here is immutable after construction and safe to share across
-concurrent readers.  Axioms memoise their tableau form on first use; the
-memo is a pure function of the fields, so the model stays logically
+concurrent readers.  Axioms and queries memoise their tableau form on first
+use; the memo is a pure function of the fields, so the model stays logically
 immutable, and it is freed with its axiom instead of held process-wide.
 """
 
@@ -160,6 +160,11 @@ class InstanceQuery:
     individual: str
     concept: Concept
 
+    @cached_property
+    def refutation(self) -> ConceptAssertion:
+        """The counter-assertion ``individual : not concept``, in negation normal form."""
+        return ConceptAssertion(self.individual, nnf(Not(self.concept)))
+
 
 @dataclass(frozen=True)
 class SubsumptionQuery:
@@ -167,6 +172,11 @@ class SubsumptionQuery:
 
     sub: Concept
     sup: Concept
+
+    @cached_property
+    def refutation(self) -> ConceptAssertion:
+        """A fresh individual in ``sub and not sup``, in negation normal form."""
+        return ConceptAssertion(FRESH_INDIVIDUAL, nnf(And(self.sub, Not(self.sup))))
 
 
 Query = Union[InstanceQuery, SubsumptionQuery]
@@ -297,13 +307,14 @@ def refutation_assertions(q: Query) -> tuple[list[Axiom], list[str]]:
 
     Instance queries negate the asserted concept; subsumption queries
     assert a fresh individual inside ``sub and not sup``.  Returns the
-    assertions together with the fresh individuals they introduce.
+    assertions together with the fresh individuals they introduce.  The
+    assertion is memoised on the query, so the thousands of reasoner calls
+    of one query build and normalise it once.
     """
     if isinstance(q, InstanceQuery):
-        return [ConceptAssertion(q.individual, nnf(Not(q.concept)))], []
+        return [q.refutation], []
     if isinstance(q, SubsumptionQuery):
-        witness = ConceptAssertion(FRESH_INDIVIDUAL, nnf(And(q.sub, Not(q.sup))))
-        return [witness], [FRESH_INDIVIDUAL]
+        return [q.refutation], [FRESH_INDIVIDUAL]
     raise TypeError(f"not a query: {q!r}")
 
 

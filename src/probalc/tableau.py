@@ -2,26 +2,38 @@
 
 Entailment is decided by refutation: the query's counter-assertions are
 added and the procedure searches for a clash-free completion graph.  Rule
-priority is fixed (clash detection, then conjunction, then value
-restriction, then inclusion axioms, then disjunction, then existential
-generation) with nodes visited in creation order, so runs are fully
-deterministic.  Deferring branching and node generation this way also
-keeps traces small.
+priority is fixed (clash detection, then conjunction, value restriction
+and unfolding, then disjunction, then existential generation) with nodes
+visited in creation order, so runs are fully deterministic.  Deferring
+branching and node generation this way also keeps traces small.
+
+Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
+*Reasoning with axioms: theory and practice*, KR 2000).  An inclusion
+``A <= C`` with an atomic left side goes into an unfolding table: when
+``A`` enters a label, ``C`` is added alongside it, so the axiom never
+branches; ``not A`` unfolds nothing.  Every other inclusion is
+internalised as ``not sub or sup`` and added to every node, where the
+search branches on it.
 
 Every labeled concept carries a trace: the set of axiom indices its
 derivation used.  Rule applications take the union of their premises'
-traces; applying an inclusion axiom adds that axiom's own index; a clash
-reports the union of the traces of the two clashing concepts.  When the
-refutation closes, the union of one clash trace per explored branch is an
-axiom set that still entails the query (usually a non-minimal one).
+traces; applying an inclusion axiom, by unfolding or as an internalised
+disjunction, adds that axiom's own index; a clash reports the union of
+the traces of the two clashing concepts.  When the refutation closes, the
+union of one clash trace per explored branch is an axiom set that still
+entails the query (usually a non-minimal one).
 
 Roles have no inverses, so the subtree below a fresh existential witness
 never constrains the rest of the graph.  Each witness is therefore solved
 in isolation by a recursive call instead of being woven into the global
-branch tree, which keeps memory and branching linear in the depth.
-Termination relies on ancestor subset-blocking: an existential is never
-expanded on a node whose label is included in an ancestor's label.  A
-node budget and an optional cooperative deadline bound runaway inputs.
+branch tree, which keeps memory and branching linear in the depth.  The
+roots of all pending witnesses of a branch are built before any subtree
+is searched, and a root that clashes as built closes the branch at once:
+searching a satisfiable sibling's subtree first can cost more than the
+whole rest of the refutation.  Termination relies on ancestor
+subset-blocking: an existential is never expanded on a node whose label
+is included in an ancestor's label.  A node budget and an optional
+cooperative deadline bound runaway inputs.
 """
 
 from __future__ import annotations
@@ -82,12 +94,18 @@ class Deadline:
 
 
 class _Run:
-    """Mutable per-call bookkeeping shared by all branches."""
+    """Mutable per-call bookkeeping shared by all branches.
 
-    __slots__ = ("gcis", "node_budget", "deadline", "nodes_created")
+    ``gcis`` holds the internalised inclusions added to every node;
+    ``unfold`` maps an atomic concept to the ``(trace, sup)`` pairs its
+    absorbed inclusions add wherever it appears.
+    """
 
-    def __init__(self, gcis, node_budget: int, deadline: Deadline | None):
+    __slots__ = ("gcis", "unfold", "node_budget", "deadline", "nodes_created")
+
+    def __init__(self, gcis, unfold, node_budget: int, deadline: Deadline | None):
         self.gcis = gcis
+        self.unfold = unfold
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes_created = 0
@@ -150,6 +168,11 @@ class _Graph:
             other = label.get(Not(concept))
             if other is not None:
                 self.clash = trace | other
+                return
+            for axiom_trace, sup in self.run.unfold.get(concept, ()):
+                self.add(node, sup, trace | axiom_trace)
+                if self.clash is not None:
+                    return
         elif t is Not:
             other = label.get(concept.arg)
             if other is not None:
@@ -222,42 +245,38 @@ def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | 
             closed |= result
         return closed
     # No disjunction is pending, so every label is final: generate the
-    # witnesses, each existential solved in its own subtree.
+    # witnesses, each existential solved in its own subtree.  All roots are
+    # built first, so that one that clashes outright closes the branch
+    # before any subtree is searched.
+    pending: list[tuple[_Graph, tuple[frozenset, ...]]] = []
     for node in range(len(graph.labels)):
         label = graph.labels[node]
-        blocked: bool | None = None
+        above: tuple[frozenset, ...] | None = None
         for concept in label:
             if type(concept) is not Exists:
                 continue
             edges = graph.succ[node].get(concept.role)
             if edges and any(concept.filler in graph.labels[s] for s in edges):
                 continue
-            if blocked is None:
-                blocked = any(label.keys() <= keys for keys in ancestors)
-            if blocked:
-                break
+            if above is None:
+                if any(label.keys() <= keys for keys in ancestors):
+                    break
+                above = ancestors + (frozenset(label.keys()),)
             trace = label[concept]
-            seed = [(trace, concept.filler)]
+            witness = _Graph(run)
+            root = witness.new_node()
+            witness.add(root, concept.filler, trace)
             for other, other_trace in label.items():
                 if type(other) is Forall and other.role == concept.role:
-                    seed.append((other_trace | trace, other.filler))
-            result = _solve_subtree(run, seed, ancestors + (frozenset(label.keys()),))
-            if result is not None:
-                return result
+                    witness.add(root, other.filler, other_trace | trace)
+            if witness.clash is not None:
+                return witness.clash
+            pending.append((witness, above))
+    for witness, above in pending:
+        result = _solve(witness, above)
+        if result is not None:
+            return result
     return None
-
-
-def _solve_subtree(
-    run: _Run,
-    seed: list[tuple[frozenset[int], Concept]],
-    ancestors: tuple[frozenset, ...],
-) -> frozenset[int] | None:
-    """Satisfiability of one fresh witness node below the current graph."""
-    graph = _Graph(run)
-    root = graph.new_node()
-    for trace, concept in seed:
-        graph.add(root, concept, trace)
-    return _solve(graph, ancestors)
 
 
 def _refute(
@@ -270,12 +289,16 @@ def _refute(
     Returns None when a clash-free completion graph exists (the axiom set
     is consistent) and the union of branch clash traces otherwise.
     """
-    gcis = [
-        (trace, axiom.constraint)
-        for trace, axiom in seeded
-        if type(axiom) is SubClassOf
-    ]
-    run = _Run(tuple(gcis), node_budget, deadline)
+    gcis: list[tuple[frozenset[int], Concept]] = []
+    unfold: dict[Concept, list[tuple[frozenset[int], Concept]]] = {}
+    for trace, axiom in seeded:
+        if type(axiom) is SubClassOf:
+            if type(axiom.sub) is Atomic:
+                # The constraint is ``not sub or nnf(sup)``.
+                unfold.setdefault(axiom.sub, []).append((trace, axiom.constraint.right))
+            else:
+                gcis.append((trace, axiom.constraint))
+    run = _Run(tuple(gcis), unfold, node_budget, deadline)
     graph = _Graph(run)
     nodes: dict[str, int] = {}
 

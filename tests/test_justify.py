@@ -112,7 +112,7 @@ class TestAllJustifications:
         assert len(covering) == 2**n
 
     @pytest.mark.parametrize(
-        "method, crime_calls, chain_calls", [("glassbox", 13, 92), ("blackbox", 18, 128)]
+        "method, crime_calls, chain_calls", [("glassbox", 13, 92), ("blackbox", 16, 120)]
     )
     def test_reasoner_call_counts(self, crime_kb, crime_query, method, crime_calls, chain_calls):
         """One reasoner call per computed node says whether it entails; sweeps do the rest."""

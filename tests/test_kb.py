@@ -131,6 +131,16 @@ class TestRefutationAssertions:
         ]
         assert fresh == [FRESH_INDIVIDUAL]
 
+    @pytest.mark.parametrize(
+        "query", [InstanceQuery("a", Not(A)), SubsumptionQuery(Atomic("B0"), Atomic("B1"))]
+    )
+    def test_built_once_per_query(self, query):
+        """Every reasoner call of a query shares one normalised assertion."""
+        (first,), _ = refutation_assertions(query)
+        (again,), _ = refutation_assertions(query)
+        assert again is first
+        assert again.normal is first.normal
+
     def test_fresh_name_cannot_be_parsed_into_a_kb(self):
         assert FRESH_INDIVIDUAL.startswith("@")
 

@@ -33,6 +33,7 @@ from probalc.kb import (
     Exists,
     Forall,
 )
+from probalc.semantics import probability_bruteforce, probability_query
 from probalc.tableau import (
     Deadline,
     NotEntailedError,
@@ -148,6 +149,58 @@ class TestTracing:
             assert entails(kb.axioms_at(trace), query)
             checked += 1
         assert checked >= 10
+
+
+class TestAbsorption:
+    """Inclusions with an atomic left side unfold instead of branching."""
+
+    def test_cyclic_unfolding_terminates_by_blocking(self):
+        axioms = [SubClassOf(A, Exists("r", A)), ConceptAssertion("a", A)]
+        assert entails(axioms, InstanceQuery("a", Exists("r", Exists("r", A))))
+        assert not entails(axioms, InstanceQuery("a", B))
+
+    def test_negated_atom_unfolds_nothing(self):
+        axioms = [SubClassOf(A, B), ConceptAssertion("b", Not(A))]
+        assert not entails(axioms, InstanceQuery("b", B))
+        assert not entails(axioms, InstanceQuery("b", Not(B)))
+
+    def test_trace_names_the_unfolded_axioms(self):
+        indexed = [(0, SubClassOf(B, C)), (1, ConceptAssertion("a", A)), (2, SubClassOf(A, B))]
+        assert trace_entailment(indexed, InstanceQuery("a", C)) == frozenset({0, 1, 2})
+        assert trace_entailment(indexed, SubsumptionQuery(A, C)) == frozenset({0, 2})
+
+    def test_non_atomic_left_sides_apply_to_every_node(self):
+        top = [SubClassOf(TOP, C), ConceptAssertion("a", Exists("r", A))]
+        assert entails(top, InstanceQuery("a", Exists("r", And(A, C))))
+        assert entails(top, SubsumptionQuery(B, C))
+        negated = [SubClassOf(Not(A), C), ConceptAssertion("a", Exists("r", Not(A)))]
+        assert entails(negated, InstanceQuery("a", Exists("r", C)))
+        assert entails(negated, SubsumptionQuery(Not(A), C))
+        assert not entails(negated, SubsumptionQuery(A, C))
+
+    def test_absorbed_and_internalised_inclusions_agree(self):
+        """``A and Top <= C`` is never absorbed, so it checks ``A <= C``."""
+        checked = 0
+        for kb, query in fuzz_corpus(2025, 80, max_axioms=8):
+            axioms = axioms_of(kb)
+            internalised = [
+                SubClassOf(And(a.sub, TOP), a.sup)
+                if type(a) is SubClassOf and type(a.sub) is Atomic
+                else a
+                for a in axioms
+            ]
+            if internalised == axioms:
+                continue
+            assert entails(axioms, query) == entails(internalised, query)
+            checked += 1
+        assert checked >= 20
+
+    def test_corpus_tail_kb_within_the_default_budget(self):
+        """KB #43 of the seed-2026 corpus exhausted the node budget when
+        sibling witnesses were searched before all of their roots were built."""
+        kb, query = list(fuzz_corpus(2026, 44, max_axioms=10))[43]
+        result = probability_query(kb, query)
+        assert result.probability == pytest.approx(probability_bruteforce(kb, query), abs=1e-9)
 
 
 class TestBudgets:
