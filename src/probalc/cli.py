@@ -111,7 +111,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         method=args.method,
         engine=args.engine,
         timeout_s=args.timeout,
-        output="json" if args.json else "human",
     )
     try:
         result = probability_query(kb, query, config)

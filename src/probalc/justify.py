@@ -176,16 +176,18 @@ def _expand(session: _Session, indices: list[int]) -> list[int]:
     reached: set[str] = set()
     for axiom in assertions:
         reached |= signature(axiom)
+    signatures = {i: signature(session.kb.axiom(i)) for i in indices}
     working: list[int] = []
     remaining = list(indices)
     while True:
-        wave = [i for i in remaining if signature(session.kb.axiom(i)) & reached]
+        wave = [i for i in remaining if signatures[i] & reached]
         if not wave:
             wave = remaining
         working.extend(wave)
-        remaining = [i for i in remaining if i not in set(wave)]
+        in_wave = set(wave)
+        remaining = [i for i in remaining if i not in in_wave]
         for i in wave:
-            reached |= signature(session.kb.axiom(i))
+            reached |= signatures[i]
         if not remaining or session.entails(working):
             return working
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .bdd import BddManager
@@ -44,10 +44,6 @@ class AtomicChoice:
     def __post_init__(self) -> None:
         if self.include not in (0, 1):
             raise ValueError(f"include must be 0 or 1, got {self.include!r}")
-
-
-# A composite choice fixes some of the ordinals; a world fixes all of them.
-CompositeChoice = frozenset
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,6 @@ class RunConfig:
     tableau_node_budget: int = DEFAULT_NODE_BUDGET
     hst_node_budget: int = DEFAULT_HST_BUDGET
     world_limit: int = DEFAULT_WORLD_LIMIT
-    output: str = "human"
 
     def __post_init__(self) -> None:
         if self.method not in ("glassbox", "blackbox"):
@@ -147,8 +142,6 @@ class RunConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.output not in ("human", "json"):
-            raise ValueError(f"unknown output format {self.output!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -26,7 +26,10 @@ entails the query (usually a non-minimal one).
 Roles have no inverses, so the subtree below a fresh existential witness
 never constrains the rest of the graph.  Each witness is therefore solved
 in isolation by a recursive call instead of being woven into the global
-branch tree, which keeps memory and branching linear in the depth.  The
+branch tree, which keeps memory and branching linear in the depth.  It
+follows that role assertions are the only edges of a graph: the ABox is
+the initial completion graph, its edges are fixed before the search
+starts, and a branch copies only the labels.  The
 roots of all pending witnesses of a branch are built before any subtree
 is searched, and a root that clashes as built closes the branch at once:
 searching a satisfiable sibling's subtree first can cost more than the
@@ -123,23 +126,25 @@ class _Graph:
     """One branch of the completion graph.
 
     ``labels[n]`` maps each concept in node n's label to its trace;
-    insertion order doubles as the deterministic scan order.  Branching
-    copies the graph, so rule applications never need undoing.
+    insertion order doubles as the deterministic scan order.  ``edges``
+    maps ``(node, role)`` to the successors and their traces; it is fixed
+    before the search and shared by every branch.  Branching copies the
+    labels, so rule applications never need undoing.
     """
 
-    __slots__ = ("run", "labels", "succ", "clash")
+    __slots__ = ("run", "labels", "edges", "clash")
 
-    def __init__(self, run: _Run):
+    def __init__(self, run: _Run, edges: dict[tuple[int, str], dict[int, frozenset[int]]]):
         self.run = run
         self.labels: list[dict[Concept, frozenset[int]]] = []
-        self.succ: list[dict[str, dict[int, frozenset[int]]]] = []
+        self.edges = edges
         self.clash: frozenset[int] | None = None
 
     def copy(self) -> "_Graph":
         g = _Graph.__new__(_Graph)
         g.run = self.run
         g.labels = [dict(d) for d in self.labels]
-        g.succ = [{role: dict(m) for role, m in s.items()} for s in self.succ]
+        g.edges = self.edges
         g.clash = self.clash
         return g
 
@@ -147,7 +152,6 @@ class _Graph:
         self.run.charge_node()
         node = len(self.labels)
         self.labels.append({})
-        self.succ.append({})
         for trace, constraint in self.run.gcis:
             self.add(node, constraint, trace)
             if self.clash is not None:
@@ -181,26 +185,13 @@ class _Graph:
             self.add(node, concept.left, trace)
             self.add(node, concept.right, trace)
         elif t is Forall:
-            edges = self.succ[node].get(concept.role)
+            edges = self.edges.get((node, concept.role))
             if edges:
-                for succ, edge_trace in list(edges.items()):
+                for succ, edge_trace in edges.items():
                     self.add(succ, concept.filler, trace | edge_trace)
                     if self.clash is not None:
                         return
         # Or and Exists wait for their turn in the search loop; Top is inert.
-
-    def add_edge(self, node: int, role: str, succ: int, trace: frozenset[int]) -> None:
-        if self.clash is not None:
-            return
-        edges = self.succ[node].setdefault(role, {})
-        if succ in edges:
-            return
-        edges[succ] = trace
-        for concept, concept_trace in list(self.labels[node].items()):
-            if type(concept) is Forall and concept.role == role:
-                self.add(succ, concept.filler, concept_trace | trace)
-                if self.clash is not None:
-                    return
 
     def next_disjunction(self) -> tuple[int, Or] | None:
         for node in range(len(self.labels)):
@@ -255,15 +246,15 @@ def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | 
         for concept in label:
             if type(concept) is not Exists:
                 continue
-            edges = graph.succ[node].get(concept.role)
-            if edges and any(concept.filler in graph.labels[s] for s in edges):
+            edges = graph.edges.get((node, concept.role), ())
+            if any(concept.filler in graph.labels[s] for s in edges):
                 continue
             if above is None:
                 if any(label.keys() <= keys for keys in ancestors):
                     break
                 above = ancestors + (frozenset(label.keys()),)
             trace = label[concept]
-            witness = _Graph(run)
+            witness = _Graph(run, {})
             root = witness.new_node()
             witness.add(root, concept.filler, trace)
             for other, other_trace in label.items():
@@ -291,38 +282,33 @@ def _refute(
     """
     gcis: list[tuple[frozenset[int], Concept]] = []
     unfold: dict[Concept, list[tuple[frozenset[int], Concept]]] = {}
+    # Each individual gets a node at its first mention; a repeated role
+    # assertion keeps the first one's trace.
+    nodes: dict[str, int] = {}
+    edges: dict[tuple[int, str], dict[int, frozenset[int]]] = {}
+    asserted: list[tuple[int, Concept, frozenset[int]]] = []
     for trace, axiom in seeded:
-        if type(axiom) is SubClassOf:
+        t = type(axiom)
+        if t is SubClassOf:
             if type(axiom.sub) is Atomic:
                 # The constraint is ``not sub or nnf(sup)``.
                 unfold.setdefault(axiom.sub, []).append((trace, axiom.constraint.right))
             else:
                 gcis.append((trace, axiom.constraint))
-    run = _Run(tuple(gcis), unfold, node_budget, deadline)
-    graph = _Graph(run)
-    nodes: dict[str, int] = {}
-
-    def node_for(name: str) -> int:
-        node = nodes.get(name)
-        if node is None:
-            node = graph.new_node()
-            nodes[name] = node
-        return node
-
-    for trace, axiom in seeded:
-        t = type(axiom)
-        if t is ConceptAssertion:
-            graph.add(node_for(axiom.individual), axiom.normal, trace)
+        elif t is ConceptAssertion:
+            node = nodes.setdefault(axiom.individual, len(nodes))
+            asserted.append((node, axiom.normal, trace))
         elif t is RoleAssertion:
-            subject = node_for(axiom.subject)
-            obj = node_for(axiom.object)
-            graph.add_edge(subject, axiom.role, obj, trace)
-        if graph.clash is not None:
-            return graph.clash
-    if not nodes:
-        # The domain is never empty: a single anonymous element must satisfy
-        # every inclusion axiom.
+            subject = nodes.setdefault(axiom.subject, len(nodes))
+            obj = nodes.setdefault(axiom.object, len(nodes))
+            edges.setdefault((subject, axiom.role), {}).setdefault(obj, trace)
+    graph = _Graph(_Run(tuple(gcis), unfold, node_budget, deadline), edges)
+    # The domain is never empty: without individuals, a single anonymous
+    # element must still satisfy every inclusion axiom.
+    for _ in range(len(nodes) or 1):
         graph.new_node()
+    for node, concept, trace in asserted:
+        graph.add(node, concept, trace)
     return _solve(graph, ())
 
 

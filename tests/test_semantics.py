@@ -168,7 +168,6 @@ class TestRunConfig:
             {"engine": "abacus"},
             {"timeout_s": 0.0},
             {"timeout_s": -1.0},
-            {"output": "yaml"},
         ],
     )
     def test_validation(self, kwargs):

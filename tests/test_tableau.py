@@ -151,6 +151,27 @@ class TestTracing:
         assert checked >= 10
 
 
+class TestRoleEdges:
+    """Role assertions are the graph's edges wherever they stand in the KB."""
+
+    @pytest.mark.parametrize("edge_first", [True, False])
+    def test_universal_reaches_the_successor_in_either_order(self, edge_first):
+        edge = RoleAssertion("a", "b", "r")
+        universal = ConceptAssertion("a", Forall("r", B))
+        axioms = [edge, universal] if edge_first else [universal, edge]
+        query = InstanceQuery("b", B)
+        assert entails(axioms, query)
+        assert trace_entailment(enumerate(axioms), query) == frozenset({0, 1})
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_repeated_role_assertion_keeps_the_first_trace(self, at):
+        axioms = [RoleAssertion("a", "b", "r"), RoleAssertion("a", "b", "r")]
+        axioms.insert(at, ConceptAssertion("a", Forall("r", B)))
+        first_edge = 1 if at == 0 else 0
+        traced = trace_entailment(enumerate(axioms), InstanceQuery("b", B))
+        assert traced == frozenset({at, first_edge})
+
+
 class TestAbsorption:
     """Inclusions with an atomic left side unfold instead of branching."""
 
