@@ -3,8 +3,9 @@
 Subcommands: ``query`` answers a probabilistic query against a KB file,
 ``gen`` prints a generated KB, ``bench`` runs the chain scaling table and
 ``check`` tests consistency.  Exit codes: 0 on success, 1 on a parse
-error, 2 when a timeout or budget is exhausted or the reasoner runs out
-of Python stack.
+error (concept text nested too deeply for the parser's stack included),
+2 when a timeout or budget is exhausted or the reasoner runs out of
+Python stack.
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ def _print_parse_error(error: ParseError) -> None:
     print(f"parse error at {error.line}:{error.column}: {error.message}", file=sys.stderr)
 
 
+def _print_nesting_error() -> None:
+    # The recursive-descent parser ran out of Python stack.
+    print("parse error: concept nesting too deep", file=sys.stderr)
+
+
 def _justification_lines(kb, covering: CoveringSet) -> list[str]:
     lines = []
     for rank, just in enumerate(covering.ordered(), 1):
@@ -103,6 +109,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         query = parse_query(args.query)
     except ParseError as error:
         _print_parse_error(error)
+        return EXIT_PARSE
+    except RecursionError:
+        _print_nesting_error()
         return EXIT_PARSE
     except OSError as error:
         print(f"cannot read {args.kb}: {error.strerror or error}", file=sys.stderr)
@@ -128,6 +137,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             "justifications": [sorted(j) for j in result.covering.ordered()],
             "formula": formula_text,
             "bdd_nodes": result.bdd_nodes,
+            "tableau_calls": result.covering.tableau_calls,
+            "hst_nodes": result.covering.hst_nodes,
+            "memo_hits": result.covering.memo_hits,
             "time_ms": result.time_ms,
             "config": config.as_dict(),
         }
@@ -185,6 +197,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "bdd_nodes": result.bdd_nodes,
                 "probability": result.probability,
                 "tableau_calls": result.covering.tableau_calls,
+                "hst_nodes": result.covering.hst_nodes,
+                "memo_hits": result.covering.memo_hits,
                 "time_s": elapsed,
             }
         )
@@ -198,6 +212,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         kb = _parse_kb_file(args.kb)
     except ParseError as error:
         _print_parse_error(error)
+        return EXIT_PARSE
+    except RecursionError:
+        _print_nesting_error()
         return EXIT_PARSE
     except OSError as error:
         print(f"cannot read {args.kb}: {error.strerror or error}", file=sys.stderr)

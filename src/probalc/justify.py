@@ -16,15 +16,26 @@ tree edge removes one axiom of its parent's justification, and each child
 recomputes a justification over the reduced knowledge base; when that
 step finds no entailment, the child is a closed leaf.  Paths that repeat
 an already-visited removal set are pruned, and a node whose removal path
-misses some known justification reuses it without calling the reasoner.
-The traversal terminates with exactly the set of all justifications.
+misses some known justification reuses the first such one in discovery
+order without calling the reasoner.  A bitmask per axiom over the
+ordinals of the justifications that contain it finds that one with a few
+integer operations.  The traversal terminates with exactly the set of
+all justifications.
+
+Entailment is monotone in the axiom set, so every axiom set the reasoner
+has found not to entail the query answers all of its subsets.  Each
+search keeps the maximal such sets as integer bitmasks and answers a
+question about a subset of one of them without a reasoner call.  That
+closes a path that contains a closed leaf's path (Reiter's pruning,
+since the leaf's reduced knowledge base does not entail the query) and
+answers most deletion-sweep checks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .kb import KnowledgeBase, Query, signature, refutation_assertions
 from .tableau import (
@@ -43,11 +54,17 @@ Justification = frozenset[int]
 
 @dataclass(frozen=True)
 class CoveringSet:
-    """All justifications of a query plus search statistics."""
+    """All justifications of a query plus search statistics.
+
+    ``tableau_calls`` counts the reasoner calls that were made,
+    ``memo_hits`` the questions answered from known non-entailing sets
+    instead.
+    """
 
     justifications: frozenset[Justification]
     tableau_calls: int
     hst_nodes: int
+    memo_hits: int
 
     def __len__(self) -> int:
         return len(self.justifications)
@@ -64,9 +81,18 @@ class CoveringSet:
 
 
 class _Session:
-    """Per-query reasoning context: budgets, deadline and call counting."""
+    """Per-query reasoning context: budgets, deadline, call counting, memo.
 
-    __slots__ = ("kb", "query", "node_budget", "deadline", "tableau_calls")
+    ``_negative`` holds, as bitmasks of axiom indices, the maximal sets
+    known not to entail the query; none of them is a subset of another.
+    A question about a subset of one of them is answered without a
+    reasoner call.  An exhausted budget raises, so only real answers are
+    recorded.
+    """
+
+    __slots__ = (
+        "kb", "query", "node_budget", "deadline", "tableau_calls", "memo_hits", "_negative"
+    )
 
     def __init__(self, kb, query, node_budget, deadline):
         self.kb = kb
@@ -74,18 +100,40 @@ class _Session:
         self.node_budget = node_budget
         self.deadline = deadline
         self.tableau_calls = 0
+        self.memo_hits = 0
+        self._negative: list[int] = []
 
-    def entails(self, indices: Iterable[int]) -> bool:
+    def _known_negative(self, mask: int) -> bool:
+        for known in self._negative:
+            if not mask & ~known:
+                self.memo_hits += 1
+                return True
+        return False
+
+    def _record_negative(self, mask: int) -> None:
+        self._negative = [known for known in self._negative if known & ~mask]
+        self._negative.append(mask)
+
+    def entails(self, indices: Collection[int]) -> bool:
+        mask = _mask(indices)
+        if self._known_negative(mask):
+            return False
         self.tableau_calls += 1
-        return entails(
+        answer = entails(
             self.kb.axioms_at(indices),
             self.query,
             node_budget=self.node_budget,
             deadline=self.deadline,
         )
+        if not answer:
+            self._record_negative(mask)
+        return answer
 
-    def trace(self, indices: Iterable[int]) -> frozenset[int] | None:
+    def trace(self, indices: Collection[int]) -> frozenset[int] | None:
         """The tableau's axiom trace, or None when the query is not entailed."""
+        mask = _mask(indices)
+        if self._known_negative(mask):
+            return None
         self.tableau_calls += 1
         try:
             return trace_entailment(
@@ -95,7 +143,15 @@ class _Session:
                 deadline=self.deadline,
             )
         except NotEntailedError:
+            self._record_negative(mask)
             return None
+
+
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for index in indices:
+        mask |= 1 << index
+    return mask
 
 
 def minimize(
@@ -210,9 +266,18 @@ def all_justifications(
     all_indices = list(range(len(kb)))
     root = _single(session, all_indices, method)
     if root is None:
-        return CoveringSet(frozenset(), session.tableau_calls, 0)
-    # Discovery order makes node reuse deterministic.
-    found: list[Justification] = [root]
+        return CoveringSet(frozenset(), session.tableau_calls, 0, session.memo_hits)
+    # Discovery order makes node reuse deterministic.  containing[i] has
+    # bit k set when the k-th justification found contains axiom i.
+    found: list[Justification] = []
+    containing = [0] * len(kb)
+
+    def discovered(just: Justification) -> None:
+        for i in just:
+            containing[i] |= 1 << len(found)
+        found.append(just)
+
+    discovered(root)
     visited_paths: set[frozenset[int]] = {frozenset()}
     hst_nodes = 1
     queue: deque[tuple[frozenset[int], Justification]] = deque([(frozenset(), root)])
@@ -233,16 +298,20 @@ def all_justifications(
                         "justifications": frozenset(found),
                         "hst_nodes": hst_nodes,
                         "tableau_calls": session.tableau_calls,
+                        "memo_hits": session.memo_hits,
                     },
                 )
-            reused = next((j for j in found if j.isdisjoint(new_path)), None)
-            if reused is not None:
-                queue.append((new_path, reused))
+            hit = 0
+            for i in new_path:
+                hit |= containing[i]
+            disjoint = ~hit & ((1 << len(found)) - 1)
+            if disjoint:
+                queue.append((new_path, found[(disjoint & -disjoint).bit_length() - 1]))
                 continue
             reduced = [i for i in all_indices if i not in new_path]
             label_for_child = _single(session, reduced, method)
             if label_for_child is not None:
-                found.append(label_for_child)
+                discovered(label_for_child)
                 queue.append((new_path, label_for_child))
             # Otherwise the path hits every justification: a closed leaf.
-    return CoveringSet(frozenset(found), session.tableau_calls, hst_nodes)
+    return CoveringSet(frozenset(found), session.tableau_calls, hst_nodes, session.memo_hits)

@@ -55,6 +55,7 @@ class TestQueryCommand:
         assert payload["justifications"] == [[0, 1, 2], [0, 1, 3]]
         assert payload["formula"] == "(x1 & x2) | (x1 & x3)"
         assert payload["bdd_nodes"] == 3
+        assert (payload["tableau_calls"], payload["hst_nodes"], payload["memo_hits"]) == (7, 7, 6)
         assert payload["time_ms"] >= 0.0
         assert payload["config"]["method"] == "glassbox"
         assert payload["config"]["engine"] == "bdd"
@@ -178,7 +179,9 @@ class TestBenchCommand:
         rows = json.loads(out.strip().splitlines()[-1])
         assert rows[0]["n"] == 2
         assert rows[0]["justifications"] == 4
-        assert rows[0]["tableau_calls"] == 32
+        assert rows[0]["tableau_calls"] == 15
+        assert rows[0]["hst_nodes"] == 16
+        assert rows[0]["memo_hits"] == 17
         assert abs(rows[0]["probability"] - 0.504**2) < 1e-9
 
     def test_timeout_rows_print_dashes(self, capsys):
@@ -230,6 +233,26 @@ def test_reasoner_recursion_error_aborts(capsys, tmp_path, command, code, out, e
     got_code, got_out, got_err = run(capsys, command[0], str(path), *command[1:])
     assert (got_code, got_out.strip()) == (code, out)
     assert err in got_err
+
+
+DEEP_NOT = "a : " + "not " * 2000 + "A\n"
+DEEP_PARENS = "a : " + "(" * 2000 + "A" + ")" * 2000 + "\n"
+
+
+@pytest.mark.parametrize("text", [DEEP_NOT, DEEP_PARENS], ids=["not", "parens"])
+@pytest.mark.parametrize("place", ["query-kb", "query-text", "check"])
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path, crime_path, place, text):
+    """2,000 nested concepts exhaust the parser's stack: a parse error, not a traceback."""
+    path = tmp_path / "deep.kb"
+    path.write_text(text)
+    argv = {
+        "query-kb": ["query", str(path), "a : A"],
+        "query-text": ["query", str(crime_path), text.strip()],
+        "check": ["check", str(path)],
+    }[place]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "parse error: concept nesting too deep\n"
 
 
 class TestEntrypoint:

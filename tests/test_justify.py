@@ -14,12 +14,19 @@ import pytest
 from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
 from probalc.justify import (
     CoveringSet,
+    _Session,
     all_justifications,
     minimize,
     single_justification,
 )
 from probalc.kb import Atomic, InstanceQuery
-from probalc.tableau import Deadline, NotEntailedError, ResourceLimitError, entails
+from probalc.tableau import (
+    DEFAULT_NODE_BUDGET,
+    Deadline,
+    NotEntailedError,
+    ResourceLimitError,
+    entails,
+)
 
 UNENTAILED = InstanceQuery("alyona", Atomic("GreatMan"))
 
@@ -112,14 +119,27 @@ class TestAllJustifications:
         assert len(covering) == 2**n
 
     @pytest.mark.parametrize(
-        "method, crime_calls, chain_calls", [("glassbox", 13, 92), ("blackbox", 16, 120)]
+        "method, crime_calls, chain_calls", [("glassbox", 7, 31), ("blackbox", 6, 39)]
     )
     def test_reasoner_call_counts(self, crime_kb, crime_query, method, crime_calls, chain_calls):
-        """One reasoner call per computed node says whether it entails; sweeps do the rest."""
+        """One reasoner call per computed node says whether it entails; sweeps do the rest.
+
+        Questions about subsets of known non-entailing sets are memo hits,
+        not calls.
+        """
         crime = all_justifications(crime_kb, crime_query, method)
         assert (crime.tableau_calls, crime.hst_nodes) == (crime_calls, 7)
         chain = all_justifications(generate_synthetic(3), chain_query(3), method)
         assert (chain.tableau_calls, chain.hst_nodes) == (chain_calls, 44)
+
+    @pytest.mark.parametrize("method, calls", [("glassbox", 289), ("blackbox", 685)])
+    def test_chain_seven_counts(self, method, calls):
+        """The memo cuts calls, not nodes: the tree and its labels stay the same."""
+        covering = all_justifications(generate_synthetic(7), chain_query(7), method)
+        assert len(covering) == 128
+        assert covering.hst_nodes == 1472
+        assert covering.tableau_calls == calls
+        assert covering.memo_hits > 0
 
     def test_unknown_method_on_an_unentailed_query(self, crime_kb):
         with pytest.raises(ValueError):
@@ -145,10 +165,64 @@ class TestAllJustifications:
         assert partial["justifications"] == frozenset({frozenset({0, 1, 3, 4, 6, 7})})
         assert partial["hst_nodes"] > 2
         assert partial["tableau_calls"] > 0
+        assert partial["memo_hits"] >= 0
 
     def test_expired_deadline(self, crime_kb, crime_query):
         with pytest.raises(ResourceLimitError):
             all_justifications(crime_kb, crime_query, deadline=Deadline(at=0.0))
+
+
+class TestSessionMemo:
+    """Sets known not to entail the query answer their subsets without a call.
+
+    On the crime KB the justifications are {0, 1, 2} and {0, 1, 3}, so
+    {1, 2, 3} does not entail the query.
+    """
+
+    @pytest.fixture
+    def session(self, crime_kb, crime_query):
+        return _Session(crime_kb, crime_query, DEFAULT_NODE_BUDGET, None)
+
+    def test_subsets_of_a_non_entailing_set_are_memo_hits(self, session):
+        assert not session.entails({1, 2, 3})
+        assert (session.tableau_calls, session.memo_hits) == (1, 0)
+        for size in range(4):
+            for subset in itertools.combinations((1, 2, 3), size):
+                hits = session.memo_hits
+                assert not session.entails(set(subset))
+                assert (session.tableau_calls, session.memo_hits) == (1, hits + 1)
+        assert session.trace([1, 3]) is None
+        assert session.tableau_calls == 1
+
+    def test_a_superset_makes_a_real_call(self, session):
+        assert not session.entails({1, 2, 3})
+        assert session.entails({0, 1, 2, 3})
+        assert (session.tableau_calls, session.memo_hits) == (2, 0)
+
+    def test_a_trace_miss_is_recorded(self, session):
+        assert session.trace([0, 2, 3]) is None
+        assert not session.entails({0, 3})
+        assert (session.tableau_calls, session.memo_hits) == (1, 1)
+
+    def test_the_memo_never_answers_true(self, session, crime_kb, crime_query):
+        """Every subset of the KB, after the memo has seen each negative answer."""
+        for _ in range(2):
+            for size in range(5):
+                for subset in itertools.combinations(range(4), size):
+                    calls = session.tableau_calls
+                    answer = session.entails(set(subset))
+                    assert answer == entails(crime_kb.axioms_at(subset), crime_query)
+                    if answer:
+                        assert session.tableau_calls == calls + 1
+        assert session.memo_hits > 0
+
+    def test_an_exhausted_budget_is_not_recorded(self, session):
+        session.node_budget = 1
+        with pytest.raises(ResourceLimitError):
+            session.entails({1, 2, 3})
+        session.node_budget = DEFAULT_NODE_BUDGET
+        assert not session.entails({1, 2})
+        assert (session.tableau_calls, session.memo_hits) == (2, 0)
 
 
 class TestInvariants:
