@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .generators import chain_query, generate_synthetic, random_kb
@@ -178,14 +177,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for n in range(2, args.max_n + 1, 2):
         kb = generate_synthetic(n)
         query = chain_query(n)
-        started = time.monotonic()
         try:
             result = probability_query(kb, query, RunConfig(**config_base))
         except (ResourceLimitError, WorldLimitError):
             print(f"{n:>4} {len(kb):>7} {'--':>7} {'--':>6} {'--':>16} {'--':>9}")
             rows.append({"n": n, "timeout": True})
             continue
-        elapsed = time.monotonic() - started
+        elapsed = result.time_ms / 1000
         print(
             f"{n:>4} {len(kb):>7} {len(result.covering):>7} {result.bdd_nodes:>6}"
             f" {result.probability:>16.12g} {elapsed:>9.3f}"

@@ -1,15 +1,27 @@
 """Finding all justifications of an entailment.
 
 A justification is a subset-minimal set of axiom indices that entails the
-query.  Two routes produce a single justification: the glass-box route
-minimizes the axiom trace reported by the tableau, the black-box route
-grows a candidate set by signature connectivity and then minimizes it.
-Both minimize with the same single-pass deletion sweep in ascending index
-order, so each route is deterministic.  A glass-box trace is also the
-entailment test: the tableau either closes and reports the trace, or
-finds a model and the route returns None.  The black-box route makes one
-entailment check before it expands.  Either way one reasoner call tells
-whether the axioms entail the query, and the sweep does not ask again.
+query.  Inside the search every axiom set (tree paths, node labels, the
+justifications found, the sweep's working set) is an int bitmask with
+bit ``i`` for axiom ``i``: the tree and the sweep need only set
+difference and subset tests.  Index collections become masks where they
+arrive (public arguments and the tableau's trace) and frozensets only in
+returned values.
+
+Each question "does this axiom set entail the query?" is one
+memo-then-reasoner step, ``_Session.ask``.  Entailment is monotone in the
+axiom set, so every set the reasoner has found not to entail the query
+answers all of its subsets; the session keeps the maximal such sets and
+answers a question about a subset of one of them without a reasoner
+call.  Otherwise it makes exactly one call, traced or not, and records a
+"no".
+
+Two routes produce a single justification, both shaped ask, expand
+(black box only), sweep.  The glass-box route asks for the tableau's
+axiom trace, which is also the entailment test.  The black-box route
+asks once, then grows a working set by signature connectivity until it
+entails the query.  Both minimize with the same single-pass deletion
+sweep in ascending index order, so each route is deterministic.
 
 The complete set of justifications comes from a hitting set tree: every
 tree edge removes one axiom of its parent's justification, and each child
@@ -19,25 +31,19 @@ an already-visited removal set are pruned, and a node whose removal path
 misses some known justification reuses the first such one in discovery
 order without calling the reasoner.  A bitmask per axiom over the
 ordinals of the justifications that contain it finds that one with a few
-integer operations.  The traversal terminates with exactly the set of
-all justifications.
-
-Entailment is monotone in the axiom set, so every axiom set the reasoner
-has found not to entail the query answers all of its subsets.  Each
-search keeps the maximal such sets as integer bitmasks and answers a
-question about a subset of one of them without a reasoner call.  That
-closes a path that contains a closed leaf's path (Reiter's pruning,
-since the leaf's reduced knowledge base does not entail the query) and
-answers most deletion-sweep checks.
+integer operations.  The memo closes a path that contains a closed
+leaf's path (Reiter's pruning, since the leaf's reduced knowledge base
+does not entail the query) and answers most deletion-sweep checks.  The
+traversal terminates with exactly the set of all justifications.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .kb import KnowledgeBase, Query, signature, refutation_assertions
+from .kb import KnowledgeBase, Query, signature
 from .tableau import (
     DEFAULT_NODE_BUDGET,
     Deadline,
@@ -103,55 +109,45 @@ class _Session:
         self.memo_hits = 0
         self._negative: list[int] = []
 
-    def _known_negative(self, mask: int) -> bool:
+    def ask(self, mask: int, traced: bool) -> int | None:
+        """An entailing subset of ``mask``, or None when ``mask`` does not entail the query.
+
+        Answers from the memo or makes exactly one reasoner call.  A yes
+        returns the tableau's axiom trace when ``traced``, else ``mask``.
+        """
         for known in self._negative:
             if not mask & ~known:
                 self.memo_hits += 1
-                return True
-        return False
-
-    def _record_negative(self, mask: int) -> None:
+                return None
+        self.tableau_calls += 1
+        indices = _bits(mask)
+        budget = {"node_budget": self.node_budget, "deadline": self.deadline}
+        if traced:
+            try:
+                trace = trace_entailment(self.kb.indexed(indices), self.query, **budget)
+                return _mask(trace, len(self.kb))
+            except NotEntailedError:
+                pass
+        elif entails(self.kb.axioms_at(indices), self.query, **budget):
+            return mask
         self._negative = [known for known in self._negative if known & ~mask]
         self._negative.append(mask)
-
-    def entails(self, indices: Collection[int]) -> bool:
-        mask = _mask(indices)
-        if self._known_negative(mask):
-            return False
-        self.tableau_calls += 1
-        answer = entails(
-            self.kb.axioms_at(indices),
-            self.query,
-            node_budget=self.node_budget,
-            deadline=self.deadline,
-        )
-        if not answer:
-            self._record_negative(mask)
-        return answer
-
-    def trace(self, indices: Collection[int]) -> frozenset[int] | None:
-        """The tableau's axiom trace, or None when the query is not entailed."""
-        mask = _mask(indices)
-        if self._known_negative(mask):
-            return None
-        self.tableau_calls += 1
-        try:
-            return trace_entailment(
-                self.kb.indexed(indices),
-                self.query,
-                node_budget=self.node_budget,
-                deadline=self.deadline,
-            )
-        except NotEntailedError:
-            self._record_negative(mask)
-            return None
+        return None
 
 
-def _mask(indices: Iterable[int]) -> int:
+def _mask(indices: Iterable[int], size: int) -> int:
+    """The bitmask of axiom indices arriving from outside the search."""
     mask = 0
     for index in indices:
+        if not 0 <= index < size:
+            raise ValueError(f"axiom index {index} is outside a knowledge base of {size} axioms")
         mask |= 1 << index
     return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """The axiom indices in ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def minimize(
@@ -166,23 +162,23 @@ def minimize(
 
     One linear sweep in ascending index order: drop each axiom whose
     removal preserves the entailment.  Raises NotEntailedError when the
-    candidate does not entail the query in the first place.
+    candidate does not entail the query in the first place, and
+    ValueError for an index outside the knowledge base.
     """
     session = _Session(kb, query, node_budget, deadline)
-    current = set(candidate)
-    if not session.entails(current):
+    mask = _mask(candidate, len(kb))
+    if session.ask(mask, False) is None:
         raise NotEntailedError("candidate does not entail the query")
-    return _minimize(session, current)
+    return frozenset(_bits(_minimize(session, mask)))
 
 
-def _minimize(session: _Session, candidate: Iterable[int]) -> Justification:
-    """The deletion sweep over a candidate already known to entail the query."""
-    current = set(candidate)
-    for index in sorted(current):
-        reduced = current - {index}
-        if session.entails(reduced):
-            current = reduced
-    return frozenset(current)
+def _minimize(session: _Session, mask: int) -> int:
+    """The deletion sweep over a set already known to entail the query."""
+    for index in _bits(mask):
+        reduced = mask & ~(1 << index)
+        if session.ask(reduced, False) is not None:
+            mask = reduced
+    return mask
 
 
 def single_justification(
@@ -197,54 +193,45 @@ def single_justification(
     """One justification drawn from ``subset`` (default: the whole KB).
 
     Raises NotEntailedError when the selected axioms do not entail the
-    query, and ValueError for an unknown method name.
+    query, and ValueError for an unknown method name or an index outside
+    the knowledge base.
     """
     session = _Session(kb, query, node_budget, deadline)
-    indices = sorted(subset) if subset is not None else list(range(len(kb)))
-    just = _single(session, indices, method)
+    mask = (1 << len(kb)) - 1 if subset is None else _mask(subset, len(kb))
+    just = _single(session, mask, method)
     if just is None:
         raise NotEntailedError("axioms do not entail the query")
-    return just
+    return frozenset(_bits(just))
 
 
-def _single(session: _Session, indices: list[int], method: str) -> Justification | None:
-    """One justification within ``indices``, or None when they do not entail the query."""
-    if method == "glassbox":
-        trace = session.trace(indices)
-        return None if trace is None else _minimize(session, trace)
-    if method == "blackbox":
-        if not session.entails(indices):
-            return None
-        return _minimize(session, _expand(session, indices))
-    raise ValueError(f"unknown justification method {method!r}")
+def _single(session: _Session, mask: int, method: str) -> int | None:
+    """One justification within ``mask``, or None when it does not entail the query."""
+    if method not in ("glassbox", "blackbox"):
+        raise ValueError(f"unknown justification method {method!r}")
+    entailing = session.ask(mask, method == "glassbox")
+    if entailing is not None and method == "blackbox":
+        entailing = _expand(session, entailing)
+    return None if entailing is None else _minimize(session, entailing)
 
 
-def _expand(session: _Session, indices: list[int]) -> list[int]:
+def _expand(session: _Session, mask: int) -> int:
     """Black-box expansion: pull in axioms wave by wave along shared names.
 
     Starts from the query's signature and stops at the first wave whose
     working set entails the query.  When the waves stall without reaching
     entailment (the entailment may rest on an inconsistency sharing no
     names with the query), one final wave adds everything left.  The
-    caller has already checked that ``indices`` entail the query.
+    caller has already checked that ``mask`` entails the query.
     """
-    assertions, _ = refutation_assertions(session.query)
-    reached: set[str] = set()
-    for axiom in assertions:
-        reached |= signature(axiom)
-    signatures = {i: signature(session.kb.axiom(i)) for i in indices}
-    working: list[int] = []
-    remaining = list(indices)
+    reached = set(signature(session.query.refutation))
+    remaining = {i: signature(session.kb.axiom(i)) for i in _bits(mask)}
+    working = 0
     while True:
-        wave = [i for i in remaining if signatures[i] & reached]
-        if not wave:
-            wave = remaining
-        working.extend(wave)
-        in_wave = set(wave)
-        remaining = [i for i in remaining if i not in in_wave]
+        wave = [i for i, names in remaining.items() if names & reached] or list(remaining)
         for i in wave:
-            reached |= signatures[i]
-        if not remaining or session.entails(working):
+            working |= 1 << i
+            reached |= remaining.pop(i)
+        if not remaining or session.ask(working, False) is not None:
             return working
 
 
@@ -263,30 +250,33 @@ def all_justifications(
     Raises ResourceLimitError when the tree budget or deadline runs out.
     """
     session = _Session(kb, query, node_budget, deadline)
-    all_indices = list(range(len(kb)))
-    root = _single(session, all_indices, method)
+    everything = (1 << len(kb)) - 1
+    root = _single(session, everything, method)
     if root is None:
         return CoveringSet(frozenset(), session.tableau_calls, 0, session.memo_hits)
     # Discovery order makes node reuse deterministic.  containing[i] has
     # bit k set when the k-th justification found contains axiom i.
-    found: list[Justification] = []
+    found: list[int] = []
     containing = [0] * len(kb)
 
-    def discovered(just: Justification) -> None:
-        for i in just:
+    def discovered(just: int) -> None:
+        for i in _bits(just):
             containing[i] |= 1 << len(found)
         found.append(just)
 
+    def justifications() -> frozenset[Justification]:
+        return frozenset(frozenset(_bits(just)) for just in found)
+
     discovered(root)
-    visited_paths: set[frozenset[int]] = {frozenset()}
+    visited_paths = {0}
     hst_nodes = 1
-    queue: deque[tuple[frozenset[int], Justification]] = deque([(frozenset(), root)])
+    queue: deque[tuple[int, int]] = deque([(0, root)])
     while queue:
         if deadline is not None:
             deadline.check()
         path, label = queue.popleft()
-        for removed in sorted(label):
-            new_path = path | {removed}
+        for removed in _bits(label):
+            new_path = path | 1 << removed
             if new_path in visited_paths:
                 continue
             visited_paths.add(new_path)
@@ -295,23 +285,22 @@ def all_justifications(
                 raise ResourceLimitError(
                     f"hitting set tree budget of {hst_node_budget} exhausted",
                     {
-                        "justifications": frozenset(found),
+                        "justifications": justifications(),
                         "hst_nodes": hst_nodes,
                         "tableau_calls": session.tableau_calls,
                         "memo_hits": session.memo_hits,
                     },
                 )
             hit = 0
-            for i in new_path:
+            for i in _bits(new_path):
                 hit |= containing[i]
             disjoint = ~hit & ((1 << len(found)) - 1)
             if disjoint:
                 queue.append((new_path, found[(disjoint & -disjoint).bit_length() - 1]))
                 continue
-            reduced = [i for i in all_indices if i not in new_path]
-            label_for_child = _single(session, reduced, method)
+            label_for_child = _single(session, everything & ~new_path, method)
             if label_for_child is not None:
                 discovered(label_for_child)
                 queue.append((new_path, label_for_child))
             # Otherwise the path hits every justification: a closed leaf.
-    return CoveringSet(frozenset(found), session.tableau_calls, hst_nodes, session.memo_hits)
+    return CoveringSet(justifications(), session.tableau_calls, hst_nodes, session.memo_hits)

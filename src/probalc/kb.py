@@ -308,8 +308,9 @@ def refutation_assertions(q: Query) -> tuple[list[Axiom], list[str]]:
     Instance queries negate the asserted concept; subsumption queries
     assert a fresh individual inside ``sub and not sup``.  Returns the
     assertions together with the fresh individuals they introduce.  The
-    assertion is memoised on the query, so the thousands of reasoner calls
-    of one query build and normalise it once.
+    assertion is the query's memoised ``refutation``, which the reasoner
+    reads directly, so the thousands of reasoner calls of one query build
+    and normalise it once.
     """
     if isinstance(q, InstanceQuery):
         return [q.refutation], []

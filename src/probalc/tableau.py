@@ -59,7 +59,6 @@ from .kb import (
     RoleAssertion,
     SubClassOf,
     Top,
-    refutation_assertions,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
@@ -332,8 +331,7 @@ def entails(
 ) -> bool:
     """Does the axiom set entail the query?  Inconsistent sets entail everything."""
     seeded = [(_EMPTY, axiom) for axiom in axioms]
-    extra, _ = refutation_assertions(query)
-    seeded.extend((_EMPTY, axiom) for axiom in extra)
+    seeded.append((_EMPTY, query.refutation))
     return _refute(seeded, node_budget, deadline) is not None
 
 
@@ -352,8 +350,7 @@ def trace_entailment(
     seeded: list[tuple[frozenset[int], Axiom]] = [
         (frozenset((index,)), axiom) for index, axiom in indexed_axioms
     ]
-    extra, _ = refutation_assertions(query)
-    seeded.extend((_EMPTY, axiom) for axiom in extra)
+    seeded.append((_EMPTY, query.refutation))
     result = _refute(seeded, node_budget, deadline)
     if result is None:
         raise NotEntailedError("query is not entailed by the given axioms")

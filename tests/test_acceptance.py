@@ -148,9 +148,13 @@ def test_criterion_5_random_corpus_agreement(criterion):
     ):
         checked = 0
         entailed = 0
+        work = {"glassbox": [0, 0, 0], "blackbox": [0, 0, 0]}
         for kb, query in fuzz_corpus(2026, 200):
             glass = all_justifications(kb, query, "glassbox")
             black = all_justifications(kb, query, "blackbox")
+            for method, covering in (("glassbox", glass), ("blackbox", black)):
+                counts = (covering.tableau_calls, covering.hst_nodes, covering.memo_hits)
+                work[method] = [total + count for total, count in zip(work[method], counts)]
             assert glass.justifications == black.justifications
             assert glass.justifications == powerset_justifications(kb, query)
             fast = probability_query(kb, query).probability
@@ -161,6 +165,9 @@ def test_criterion_5_random_corpus_agreement(criterion):
         assert checked == 200
         # The corpus must exercise both outcomes to mean anything.
         assert 10 <= entailed <= 190
+        # Reasoner calls, tree nodes and memo hits over the corpus: a change
+        # to the search that alters its work shows here.
+        assert work == {"glassbox": [525, 236, 28], "blackbox": [966, 237, 66]}
 
 
 def test_criterion_6_structural_invariants(criterion):

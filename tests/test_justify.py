@@ -62,6 +62,11 @@ class TestMinimize:
         for index in result:
             assert not entails(crime_kb.axioms_at(result - {index}), crime_query)
 
+    @pytest.mark.parametrize("index", [-1, 4, 9])
+    def test_rejects_an_index_outside_the_kb(self, crime_kb, crime_query, index):
+        with pytest.raises(ValueError, match=f"axiom index {index} "):
+            minimize({0, 1, index}, crime_kb, crime_query)
+
 
 class TestSingleJustification:
     def test_glassbox_crime(self, crime_kb, crime_query):
@@ -89,6 +94,12 @@ class TestSingleJustification:
     def test_unknown_method(self, crime_kb, crime_query):
         with pytest.raises(ValueError):
             single_justification(crime_kb, crime_query, "telepathy")
+
+    @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
+    @pytest.mark.parametrize("index", [-1, 4, 9])
+    def test_rejects_an_index_outside_the_kb(self, crime_kb, crime_query, method, index):
+        with pytest.raises(ValueError, match=f"axiom index {index} "):
+            single_justification(crime_kb, crime_query, method, subset={0, 1, index})
 
 
 class TestAllJustifications:
@@ -172,6 +183,10 @@ class TestAllJustifications:
             all_justifications(crime_kb, crime_query, deadline=Deadline(at=0.0))
 
 
+def bits(*indices: int) -> int:
+    return sum(1 << i for i in indices)
+
+
 class TestSessionMemo:
     """Sets known not to entail the query answer their subsets without a call.
 
@@ -184,24 +199,24 @@ class TestSessionMemo:
         return _Session(crime_kb, crime_query, DEFAULT_NODE_BUDGET, None)
 
     def test_subsets_of_a_non_entailing_set_are_memo_hits(self, session):
-        assert not session.entails({1, 2, 3})
+        assert session.ask(bits(1, 2, 3), False) is None
         assert (session.tableau_calls, session.memo_hits) == (1, 0)
         for size in range(4):
             for subset in itertools.combinations((1, 2, 3), size):
                 hits = session.memo_hits
-                assert not session.entails(set(subset))
+                assert session.ask(bits(*subset), False) is None
                 assert (session.tableau_calls, session.memo_hits) == (1, hits + 1)
-        assert session.trace([1, 3]) is None
+        assert session.ask(bits(1, 3), True) is None
         assert session.tableau_calls == 1
 
     def test_a_superset_makes_a_real_call(self, session):
-        assert not session.entails({1, 2, 3})
-        assert session.entails({0, 1, 2, 3})
+        assert session.ask(bits(1, 2, 3), False) is None
+        assert session.ask(bits(0, 1, 2, 3), False) is not None
         assert (session.tableau_calls, session.memo_hits) == (2, 0)
 
     def test_a_trace_miss_is_recorded(self, session):
-        assert session.trace([0, 2, 3]) is None
-        assert not session.entails({0, 3})
+        assert session.ask(bits(0, 2, 3), True) is None
+        assert session.ask(bits(0, 3), False) is None
         assert (session.tableau_calls, session.memo_hits) == (1, 1)
 
     def test_the_memo_never_answers_true(self, session, crime_kb, crime_query):
@@ -210,7 +225,7 @@ class TestSessionMemo:
             for size in range(5):
                 for subset in itertools.combinations(range(4), size):
                     calls = session.tableau_calls
-                    answer = session.entails(set(subset))
+                    answer = session.ask(bits(*subset), False) is not None
                     assert answer == entails(crime_kb.axioms_at(subset), crime_query)
                     if answer:
                         assert session.tableau_calls == calls + 1
@@ -219,10 +234,27 @@ class TestSessionMemo:
     def test_an_exhausted_budget_is_not_recorded(self, session):
         session.node_budget = 1
         with pytest.raises(ResourceLimitError):
-            session.entails({1, 2, 3})
+            session.ask(bits(1, 2, 3), False)
         session.node_budget = DEFAULT_NODE_BUDGET
-        assert not session.entails({1, 2})
+        assert session.ask(bits(1, 2), False) is None
         assert (session.tableau_calls, session.memo_hits) == (2, 0)
+
+    def test_a_traced_answer_is_an_entailing_subset(self, session, crime_kb, crime_query):
+        answered = 0
+        for size in range(5):
+            for subset in itertools.combinations(range(4), size):
+                mask = bits(*subset)
+                trace = session.ask(mask, True)
+                if trace is not None:
+                    assert not trace & ~mask
+                    chosen = [i for i in subset if trace >> i & 1]
+                    assert entails(crime_kb.axioms_at(chosen), crime_query)
+                    answered += 1
+        assert answered == 3
+
+    def test_an_untraced_answer_is_the_mask_itself(self, session):
+        assert session.ask(bits(0, 1, 2, 3), False) == bits(0, 1, 2, 3)
+        assert session.ask(bits(0, 1, 3), False) == bits(0, 1, 3)
 
 
 class TestInvariants:
