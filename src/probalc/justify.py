@@ -29,12 +29,15 @@ recomputes a justification over the reduced knowledge base; when that
 step finds no entailment, the child is a closed leaf.  Paths that repeat
 an already-visited removal set are pruned, and a node whose removal path
 misses some known justification reuses the first such one in discovery
-order without calling the reasoner.  A bitmask per axiom over the
-ordinals of the justifications that contain it finds that one with a few
-integer operations.  The memo closes a path that contains a closed
-leaf's path (Reiter's pruning, since the leaf's reduced knowledge base
-does not entail the query) and answers most deletion-sweep checks.  The
-traversal terminates with exactly the set of all justifications.
+order without calling the reasoner.  Each queued node carries a bitmask
+over the ordinals of the justifications its path meets.  When it is
+taken from the queue it tests only those found since it was queued, and
+a child adds the ones containing its removed axiom (a bitmask per
+axiom), so that one is found with a few integer operations.  The memo
+closes a path that contains a closed leaf's path (Reiter's pruning,
+since the leaf's reduced knowledge base does not entail the query) and
+answers most deletion-sweep checks.  The traversal terminates with
+exactly the set of all justifications.
 """
 
 from __future__ import annotations
@@ -270,11 +273,19 @@ def all_justifications(
     discovered(root)
     visited_paths = {0}
     hst_nodes = 1
-    queue: deque[tuple[int, int]] = deque([(0, root)])
+    # A queued node carries its path, its label, and ``hit``: bit k set when
+    # the path meets the k-th justification, for the first ``known`` ones.
+    queue: deque[tuple[int, int, int, int]] = deque([(0, root, 0, 1)])
     while queue:
         if deadline is not None:
             deadline.check()
-        path, label = queue.popleft()
+        path, label, hit, known = queue.popleft()
+        for k in range(known, len(found)):
+            if found[k] & path:
+                hit |= 1 << k
+        # Justifications found from here on avoid this path, since each is
+        # found below a child of this node, so each child's hit only adds
+        # the ones that contain its removed axiom.
         for removed in _bits(label):
             new_path = path | 1 << removed
             if new_path in visited_paths:
@@ -291,16 +302,15 @@ def all_justifications(
                         "memo_hits": session.memo_hits,
                     },
                 )
-            hit = 0
-            for i in _bits(new_path):
-                hit |= containing[i]
-            disjoint = ~hit & ((1 << len(found)) - 1)
+            new_hit = hit | containing[removed]
+            disjoint = ~new_hit & ((1 << len(found)) - 1)
             if disjoint:
-                queue.append((new_path, found[(disjoint & -disjoint).bit_length() - 1]))
+                reused = found[(disjoint & -disjoint).bit_length() - 1]
+                queue.append((new_path, reused, new_hit, len(found)))
                 continue
             label_for_child = _single(session, everything & ~new_path, method)
             if label_for_child is not None:
                 discovered(label_for_child)
-                queue.append((new_path, label_for_child))
+                queue.append((new_path, label_for_child, new_hit, len(found)))
             # Otherwise the path hits every justification: a closed leaf.
     return CoveringSet(justifications(), session.tableau_calls, hst_nodes, session.memo_hits)

@@ -12,11 +12,15 @@ Everything here is immutable after construction and safe to share across
 concurrent readers.  Axioms and queries memoise their tableau form on first
 use; the memo is a pure function of the fields, so the model stays logically
 immutable, and it is freed with its axiom instead of held process-wide.
+Concepts memoise their structural hash the same way (an atomic concept also
+its complement), so the tableau's label lookups stop hashing whole subtrees.
+The hash memo stays out of equality, ``repr``, ``dataclasses.replace`` and
+pickles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -30,46 +34,79 @@ class Concept:
 
     __slots__ = ()
 
+    def __reduce__(self):
+        # Pickle the fields alone: a memoised hash holds only in the process
+        # that computed it, since string hashes are salted per process.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True)
+
+def _concept(cls):
+    """Make ``cls`` a frozen dataclass that memoises its structural hash.
+
+    The tableau hashes the same concepts millions of times, and the
+    generated hash of a frozen dataclass hashes the whole subtree on every
+    call.  The memo holds the generated value, so hashes, equality and
+    ``repr`` stay exactly those of the plain dataclass.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_concept
 class Atomic(Concept):
     name: str
 
+    @cached_property
+    def complement(self) -> "Not":
+        """``not self``, built once, so the clash check allocates nothing."""
+        return Not(self)
 
-@dataclass(frozen=True)
+
+@_concept
 class Top(Concept):
     pass
 
 
-@dataclass(frozen=True)
+@_concept
 class Bottom(Concept):
     pass
 
 
-@dataclass(frozen=True)
+@_concept
 class Not(Concept):
     arg: Concept
 
 
-@dataclass(frozen=True)
+@_concept
 class And(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
+@_concept
 class Or(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
+@_concept
 class Exists(Concept):
     role: str
     filler: Concept
 
 
-@dataclass(frozen=True)
+@_concept
 class Forall(Concept):
     role: str
     filler: Concept

@@ -7,6 +7,13 @@ and unfolding, then disjunction, then existential generation) with nodes
 visited in creation order, so runs are fully deterministic.  Deferring
 branching and node generation this way also keeps traces small.
 
+Disjunctions wait on an agenda (Horrocks & Patel-Schneider, *Optimizing
+description logic subsumption*, J. Logic Comput. 1999): each node keeps
+its disjunctions in label order with a cursor past the ones already
+satisfied.  Labels only grow along a branch, so a satisfied disjunction
+stays satisfied, and the next one to branch on is found without
+rescanning the labels.
+
 Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
 *Reasoning with axioms: theory and practice*, KR 2000).  An inclusion
 ``A <= C`` with an atomic left side goes into an unfolding table: when
@@ -125,17 +132,22 @@ class _Graph:
     """One branch of the completion graph.
 
     ``labels[n]`` maps each concept in node n's label to its trace;
-    insertion order doubles as the deterministic scan order.  ``edges``
-    maps ``(node, role)`` to the successors and their traces; it is fixed
-    before the search and shared by every branch.  Branching copies the
-    labels, so rule applications never need undoing.
+    insertion order doubles as the deterministic scan order.  The agenda
+    ``disjunctions[n]`` lists the ``Or`` concepts of that label in the
+    same order, and every one before ``cursors[n]`` is satisfied.
+    ``edges`` maps ``(node, role)`` to the successors and their traces;
+    it is fixed before the search and shared by every branch.  Branching
+    copies the labels and the agenda, so rule applications never need
+    undoing.
     """
 
-    __slots__ = ("run", "labels", "edges", "clash")
+    __slots__ = ("run", "labels", "disjunctions", "cursors", "edges", "clash")
 
     def __init__(self, run: _Run, edges: dict[tuple[int, str], dict[int, frozenset[int]]]):
         self.run = run
         self.labels: list[dict[Concept, frozenset[int]]] = []
+        self.disjunctions: list[list[Or]] = []
+        self.cursors: list[int] = []
         self.edges = edges
         self.clash: frozenset[int] | None = None
 
@@ -143,6 +155,8 @@ class _Graph:
         g = _Graph.__new__(_Graph)
         g.run = self.run
         g.labels = [dict(d) for d in self.labels]
+        g.disjunctions = [list(d) for d in self.disjunctions]
+        g.cursors = list(self.cursors)
         g.edges = self.edges
         g.clash = self.clash
         return g
@@ -151,6 +165,8 @@ class _Graph:
         self.run.charge_node()
         node = len(self.labels)
         self.labels.append({})
+        self.disjunctions.append([])
+        self.cursors.append(0)
         for trace, constraint in self.run.gcis:
             self.add(node, constraint, trace)
             if self.clash is not None:
@@ -168,7 +184,7 @@ class _Graph:
         if t is Bottom:
             self.clash = trace
         elif t is Atomic:
-            other = label.get(Not(concept))
+            other = label.get(concept.complement)
             if other is not None:
                 self.clash = trace | other
                 return
@@ -180,6 +196,8 @@ class _Graph:
             other = label.get(concept.arg)
             if other is not None:
                 self.clash = trace | other
+        elif t is Or:
+            self.disjunctions[node].append(concept)
         elif t is And:
             self.add(node, concept.left, trace)
             self.add(node, concept.right, trace)
@@ -190,18 +208,20 @@ class _Graph:
                     self.add(succ, concept.filler, trace | edge_trace)
                     if self.clash is not None:
                         return
-        # Or and Exists wait for their turn in the search loop; Top is inert.
+        # Exists waits for its turn in the search loop; Top is inert.
 
     def next_disjunction(self) -> tuple[int, Or] | None:
-        for node in range(len(self.labels)):
+        """The first unsatisfied disjunction, in node order, then label order."""
+        for node, pending in enumerate(self.disjunctions):
             label = self.labels[node]
-            for concept in label:
-                if (
-                    type(concept) is Or
-                    and concept.left not in label
-                    and concept.right not in label
-                ):
+            at = self.cursors[node]
+            while at < len(pending):
+                concept = pending[at]
+                if concept.left not in label and concept.right not in label:
+                    self.cursors[node] = at
                     return node, concept
+                at += 1
+            self.cursors[node] = at
         return None
 
 

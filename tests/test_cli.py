@@ -235,6 +235,38 @@ def test_reasoner_recursion_error_aborts(capsys, tmp_path, command, code, out, e
     assert err in got_err
 
 
+@pytest.mark.parametrize(
+    "count, code, out, err",
+    [
+        (200, EXIT_OK, "probability: 0.5\n", ""),
+        (1500, EXIT_RESOURCE, "", "aborted: maximum recursion depth exceeded"),
+    ],
+    ids=["200", "1500"],
+)
+def test_search_recursion_at_depth(tmp_path, count, code, out, err):
+    """``count`` separate disjunctions on one individual.
+
+    The search recurses once per disjunction it branches on.  Without the
+    query's annotated assertion the rest is satisfiable, so that check
+    branches on every disjunction: 200 answer, 1,500 exhaust the Python
+    stack of a fresh interpreter and abort with the budget exit code.
+    """
+    path = tmp_path / "disjunctions.kb"
+    path.write_text("".join(f"a : A{i} or B{i}\n" for i in range(count)) + "0.5 :: a : C\n")
+    package_root = Path(probalc.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "probalc.cli", "query", str(path), "a : C"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stdout.startswith(out)
+    assert result.stderr.startswith(err)
+    assert "Traceback" not in result.stderr
+
+
 DEEP_NOT = "a : " + "not " * 2000 + "A\n"
 DEEP_PARENS = "a : " + "(" * 2000 + "A" + ")" * 2000 + "\n"
 

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import os
+import pickle
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -34,10 +39,11 @@ from probalc.kb import (
     signature,
     vocabulary,
 )
+import probalc
 from probalc.generators import random_kb
 from probalc.parser import parse_kb, parse_query
 from probalc.semantics import probability_query
-from probalc.tableau import entails
+from probalc.tableau import entails, is_consistent, trace_entailment
 
 SAMPLE_KB = Path(__file__).resolve().parent.parent / "samples" / "crime.kb"
 
@@ -226,3 +232,80 @@ class TestKnowledgeBase:
         del kb
         gc.collect()
         assert [ref() for ref in refs] == [None] * 6
+
+
+def rebuilt(c: Concept) -> Concept:
+    """A structurally equal copy of ``c`` that shares no concept object with it."""
+    values = [getattr(c, f.name) for f in dataclasses.fields(c)]
+    return type(c)(*(rebuilt(v) if isinstance(v, Concept) else v for v in values))
+
+
+class TestConceptHash:
+    """Concepts memoise their hash; nothing else may notice."""
+
+    @given(concepts())
+    def test_equal_concepts_hash_alike_before_and_after_the_memo(self, c):
+        first, second = rebuilt(c), rebuilt(c)
+        assert first == second and first is not second
+        computed = hash(first)
+        assert hash(first) == computed == hash(second) == hash(second)
+        assert {first: "found"}[rebuilt(c)] == "found"
+        assert {rebuilt(c): "found"}[first] == "found"
+
+    def test_hash_is_the_plain_dataclass_hash(self):
+        """The memo holds the generated value, so set and dict orders stay put."""
+        assert hash(A) == hash(("A",))
+        assert hash(TOP) == hash(())
+        assert hash(Not(A)) == hash((A,))
+        assert hash(And(A, Or(B, C))) == hash((A, Or(B, C))) == hash((A, (B, C)))
+        assert hash(Exists("r", B)) == hash(("r", B))
+
+    def test_repr_and_replace_are_unchanged(self):
+        c = And(A, Exists("r", Not(B)))
+        expected = "And(left=Atomic(name='A'), right=Exists(role='r', filler=Not(arg=Atomic(name='B'))))"
+        assert repr(c) == expected
+        hash(c)
+        assert A.complement == Not(A) and A.complement is A.complement
+        assert repr(c) == expected
+        assert repr(A) == "Atomic(name='A')"
+        swapped = dataclasses.replace(c, left=C)
+        assert swapped == And(C, c.right) and repr(swapped) == repr(And(C, c.right))
+        assert hash(swapped) == hash(rebuilt(swapped))
+        assert dataclasses.replace(c) == c
+        assert [f.name for f in dataclasses.fields(c)] == ["left", "right"]
+
+    def test_unpickled_in_a_process_with_another_hash_seed(self):
+        """String hashes are salted per process, so no memo may travel in a pickle."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = (
+            "import pickle, sys\n"
+            "from probalc.kb import And, Atomic, Exists, Not, Or\n"
+            "c = Or(And(Atomic('Alpha'), Exists('r', Not(Atomic('Beta')))), Atomic('Gamma'))\n"
+            "hash(c), Atomic('Gamma').complement\n"
+            "sys.stdout.buffer.write(pickle.dumps([c, c.right, c.right.complement]))\n"
+        )
+        package_root = Path(probalc.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(package_root)}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=60, check=True
+        )
+        loaded, gamma, not_gamma = pickle.loads(result.stdout)
+        expected = Or(And(Atomic("Alpha"), Exists("r", Not(Atomic("Beta")))), Atomic("Gamma"))
+        assert loaded == expected
+        assert {expected: "found"}[loaded] == "found"
+        assert {loaded: "found"}[expected] == "found"
+        assert {Not(Atomic("Gamma")): "found"}[not_gamma] == "found"
+        assert {Atomic("Gamma"): "found"}[gamma] == "found"
+        assert {Not(Atomic("Gamma")): "found"}[gamma.complement] == "found"
+
+    def test_clash_between_separately_built_atoms(self):
+        """``A`` and ``not A`` from different axioms are distinct objects and still clash."""
+        positive = ConceptAssertion("a", Atomic("A"))
+        negative = ConceptAssertion("a", Not(Atomic("A")))
+        assert positive.concept is not negative.concept.arg
+        assert not is_consistent([positive, negative])
+        assert not is_consistent([negative, positive])
+        indexed = [(0, positive), (1, SubClassOf(Atomic("A"), Atomic("B")))]
+        assert trace_entailment(indexed, InstanceQuery("a", Atomic("B"))) == frozenset({0, 1})
+        unfolded = [SubClassOf(Atomic("A"), Not(Atomic("B"))), ConceptAssertion("a", Atomic("B"))]
+        assert entails(unfolded, InstanceQuery("a", Not(Atomic("A"))))

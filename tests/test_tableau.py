@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probalc.generators import fuzz_corpus, random_kb, random_query
+from probalc.justify import all_justifications
 from probalc.kb import (
     And,
     Atomic,
@@ -35,6 +36,7 @@ from probalc.kb import (
 )
 from probalc.semantics import probability_bruteforce, probability_query
 from probalc.tableau import (
+    _Graph,
     Deadline,
     NotEntailedError,
     ResourceLimitError,
@@ -243,6 +245,45 @@ class TestBudgets:
             crime_query,
             deadline=Deadline.after(60.0),
         )
+
+
+# ---------------------------------------------------------------------------
+# The disjunction agenda against the label scan it replaced
+
+
+def _scan_next_disjunction(graph):
+    """Reference: rescan every label for the first unsatisfied disjunction."""
+    for node in range(len(graph.labels)):
+        label = graph.labels[node]
+        for concept in label:
+            if type(concept) is Or and concept.left not in label and concept.right not in label:
+                return node, concept
+    return None
+
+
+def test_agenda_picks_what_the_full_scan_picks(monkeypatch, crime_kb, crime_query):
+    agenda = _Graph.next_disjunction
+    picks = {"disjunction": 0, "none": 0, "past_satisfied": 0}
+
+    def checked(graph):
+        expected = _scan_next_disjunction(graph)
+        got = agenda(graph)
+        if expected is None:
+            assert got is None
+            picks["none"] += 1
+        else:
+            node, disjunction = got
+            assert node == expected[0] and disjunction is expected[1]
+            picks["disjunction"] += 1
+            picks["past_satisfied"] += graph.cursors[node] > 0
+        return got
+
+    monkeypatch.setattr(_Graph, "next_disjunction", checked)
+    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query)]:
+        for method in ("glassbox", "blackbox"):
+            all_justifications(kb, query, method)
+    # Both outcomes, and picks that skip satisfied disjunctions, must occur.
+    assert min(picks.values()) > 1000, picks
 
 
 # ---------------------------------------------------------------------------
