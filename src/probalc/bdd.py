@@ -8,21 +8,39 @@ same manager are equivalent exactly when their references are equal.
 There are no complement edges.
 
 Variables are the ordinals of a knowledge base's probabilistic view and
-the variable order is fixed to ordinal order.  The probability of the
-function is computed by one bottom-up pass: at a node for variable i with
-annotation p_i, the value is p_i times the high branch's value plus
-(1 - p_i) times the low branch's value.  Sharing makes the pass linear in
-the diagram size.
+the variable order is fixed to ordinal order.  ``build`` compiles a
+covering formula by Shannon expansion over its terms (Bryant 1986): the
+term set is split on its lowest variable into the high cofactor (that
+variable cleared in every term) and the low cofactor (only the terms
+without it), and each distinct cofactor set becomes one node.  A node's
+children are built before the node itself, so they are already
+canonical and the unique table alone merges equal subfunctions: no apply
+operation and no apply cache is needed.  ``apply_and``, ``apply_or`` and
+``complement`` remain for combining diagrams that already exist.
+
+The probability of the function is computed by one bottom-up pass: at a
+node for variable i with annotation p_i, the value is p_i times the high
+branch's value plus (1 - p_i) times the low branch's value.  Sharing
+makes the pass linear in the diagram size.  ``build`` and the probability
+pass use explicit stacks, so a diagram's depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
-from .pinpoint import Conj, Disj, FalseFormula, Formula, TrueFormula, Var
+from .pinpoint import Formula, term_masks
+
+if TYPE_CHECKING:
+    from .tableau import Deadline
 
 FALSE_REF = 0
 TRUE_REF = 1
+
+# Term sets of the constant functions: no term, and the one empty term.
+_NO_TERMS: frozenset[int] = frozenset()
+_EMPTY_TERM: frozenset[int] = frozenset([0])
 
 
 class MissingProbabilityError(KeyError):
@@ -107,26 +125,63 @@ class BddManager:
         self._apply_cache[key] = result
         return result
 
-    def build(self, formula: Formula) -> int:
-        """Compile a monotone formula bottom-up into a canonical diagram."""
-        t = type(formula)
-        if t is Var:
-            return self.var(formula.ordinal)
-        if t is Conj:
-            ref = TRUE_REF
-            for part in formula.parts:
-                ref = self.apply_and(ref, self.build(part))
-            return ref
-        if t is Disj:
-            ref = FALSE_REF
-            for part in formula.parts:
-                ref = self.apply_or(ref, self.build(part))
-            return ref
-        if t is TrueFormula:
-            return TRUE_REF
-        if t is FalseFormula:
+    def build(self, formula: Formula, *, deadline: Deadline | None = None) -> int:
+        """Compile a monotone formula into its canonical diagram.
+
+        The formula is first flattened into its set of terms, one bitmask
+        of ordinals per conjunction (``term_masks``).  The diagram is then
+        compiled by Shannon expansion on the lowest variable x occurring in
+        a term set: the high cofactor clears x in every term (a term that
+        becomes empty makes it true), the low cofactor keeps only the terms
+        without x.  Every distinct cofactor set becomes one node, memoised
+        by the set, and an explicit stack replaces recursion.  Each node is
+        made from children that are already canonical, so no apply
+        operation runs and no apply cache fills.
+
+        Raises ValueError for an ordinal outside ``0..var_count - 1``, and
+        ResourceLimitError once ``deadline`` has passed; it is checked once
+        per cofactor set.
+        """
+        terms = term_masks(formula, self.var_count)
+        if not terms:
             return FALSE_REF
-        raise TypeError(f"not a formula: {formula!r}")
+        if 0 in terms:
+            return TRUE_REF
+        # A set holding the empty term is true; no cofactor set other than
+        # this one ever holds it.
+        refs: dict[frozenset[int], int] = {_NO_TERMS: FALSE_REF, _EMPTY_TERM: TRUE_REF}
+        splits: dict[frozenset[int], tuple[int, frozenset[int], frozenset[int]]] = {}
+        stack = [terms]
+        while stack:
+            current = stack[-1]
+            if current in refs:
+                stack.pop()
+                continue
+            split = splits.get(current)
+            if split is None:
+                if deadline is not None:
+                    deadline.check()
+                used = 0
+                for term in current:
+                    used |= term
+                bit = used & -used
+                if bit in current:
+                    high = _EMPTY_TERM
+                else:
+                    high = frozenset([term & ~bit for term in current])
+                low = frozenset([term for term in current if not term & bit])
+                split = splits[current] = (bit, low, high)
+            bit, low, high = split
+            low_ref = refs.get(low)
+            high_ref = refs.get(high)
+            if low_ref is None:
+                stack.append(low)
+            if high_ref is None:
+                stack.append(high)
+            if low_ref is not None and high_ref is not None:
+                refs[current] = self._node(bit.bit_length() - 1, low_ref, high_ref)
+                stack.pop()
+        return refs[terms]
 
     def equivalent(self, a: int, b: int) -> bool:
         """Canonicity makes equivalence a reference comparison."""
@@ -148,16 +203,26 @@ class BddManager:
         """
         if memo is None:
             memo = {}
-
-        def walk(r: int) -> float:
-            if r == TRUE_REF:
-                return 1.0
-            if r == FALSE_REF:
-                return 0.0
-            known = memo.get(r)
-            if known is not None:
-                return known
-            level, low, high = self._entries[r]
+        if ref <= TRUE_REF:
+            return float(ref)
+        entries = self._entries
+        # Post-order: a node is valued once both of its children are.
+        stack = [ref]
+        while stack:
+            r = stack[-1]
+            if r in memo:
+                stack.pop()
+                continue
+            level, low, high = entries[r]
+            waiting = False
+            if low > TRUE_REF and low not in memo:
+                stack.append(low)
+                waiting = True
+            if high > TRUE_REF and high not in memo:
+                stack.append(high)
+                waiting = True
+            if waiting:
+                continue
             try:
                 p = probs[level]
             except KeyError:
@@ -166,11 +231,11 @@ class BddManager:
                 ) from None
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} outside [0, 1]")
-            value = p * walk(high) + (1.0 - p) * walk(low)
-            memo[r] = value
-            return value
-
-        return walk(ref)
+            high_value = memo[high] if high > TRUE_REF else float(high)
+            low_value = memo[low] if low > TRUE_REF else float(low)
+            memo[r] = p * high_value + (1.0 - p) * low_value
+            stack.pop()
+        return memo[ref]
 
     def node_count(self, ref: int) -> int:
         """Number of distinct internal nodes reachable from ``ref``."""

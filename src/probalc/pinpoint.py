@@ -3,11 +3,13 @@
 The covering set of a query compiles into a negation-free DNF: one
 disjunct per justification, one variable per annotated axiom appearing in
 it.  Variables are the ordinals of the knowledge base's probabilistic
-view, so variable i always talks about the i-th annotated axiom.  Certain
+view, so variable i always talks about the i-th annotated axiom, and a
+formula holds one shared ``Var`` object per ordinal.  Certain
 axioms hold in every world and are dropped; a justification made of
 certain axioms only therefore makes the whole formula True.  No other
 simplification is performed, the diagram construction downstream handles
-sharing and redundancy.
+sharing and redundancy.  ``term_masks`` gives the diagram compiler a
+formula's terms as bitmasks of ordinals.
 """
 
 from __future__ import annotations
@@ -67,21 +69,94 @@ def formula_from_justifications(
     """
     justifications = getattr(covering, "justifications", covering)
     ordinal_of = kb.ordinal_of
+    var: dict[int, Var] = {}
     terms: list[Formula] = []
     for just in sorted(justifications, key=lambda j: tuple(sorted(j))):
         ordinals = sorted(ordinal_of[i] for i in just if i in ordinal_of)
         if not ordinals:
             # Certain axioms alone entail the query: true in every world.
             return TRUE
+        for o in ordinals:
+            if o not in var:
+                var[o] = Var(o)
         if len(ordinals) == 1:
-            terms.append(Var(ordinals[0]))
+            terms.append(var[ordinals[0]])
         else:
-            terms.append(Conj(tuple(Var(o) for o in ordinals)))
+            terms.append(Conj(tuple([var[o] for o in ordinals])))
     if not terms:
         return FALSE
     if len(terms) == 1:
         return terms[0]
     return Disj(tuple(terms))
+
+
+class _Combine:
+    """Marks where the parts of a Conj or Disj are joined in ``term_masks``."""
+
+    __slots__ = ("kind", "count")
+
+    def __init__(self, kind: type, count: int):
+        self.kind = kind
+        self.count = count
+
+
+def term_masks(formula: Formula, var_count: int) -> frozenset[int]:
+    """The formula as a DNF: one bitmask of variable ordinals per term.
+
+    True is ``{0}`` (the empty term) and False the empty set.  A
+    conjunction over disjunctions is multiplied out, which can grow
+    exponentially; the covering formulas this module builds are DNFs
+    already, for which this is linear.  Walked with an explicit stack.
+    Raises ValueError for an ordinal outside ``0..var_count - 1``.
+    """
+    done: list[list[int]] = []
+    todo: list = [formula]
+    while todo:
+        item = todo.pop()
+        t = type(item)
+        if t is Var:
+            ordinal = item.ordinal
+            if not 0 <= ordinal < var_count:
+                raise _out_of_range(ordinal, var_count)
+            done.append([1 << ordinal])
+        elif t is Conj or t is Disj:
+            if t is Conj:
+                # The common case, a conjunction of variables, is one term.
+                mask = 0
+                for part in item.parts:
+                    if type(part) is not Var:
+                        break
+                    ordinal = part.ordinal
+                    if not 0 <= ordinal < var_count:
+                        raise _out_of_range(ordinal, var_count)
+                    mask |= 1 << ordinal
+                else:
+                    done.append([mask])
+                    continue
+            # Combine the parts' term lists once all of them are done.
+            todo.append(_Combine(t, len(item.parts)))
+            todo.extend(item.parts)
+        elif t is _Combine:
+            parts = done[len(done) - item.count:]
+            del done[len(done) - item.count:]
+            if item.kind is Disj:
+                done.append([term for part in parts for term in part])
+            else:
+                product = [0]
+                for part in parts:
+                    product = [a | b for a in product for b in part]
+                done.append(product)
+        elif t is TrueFormula:
+            done.append([0])
+        elif t is FalseFormula:
+            done.append([])
+        else:
+            raise TypeError(f"not a formula: {item!r}")
+    return frozenset(done[0])
+
+
+def _out_of_range(ordinal: int, var_count: int) -> ValueError:
+    return ValueError(f"variable ordinal {ordinal} outside 0..{var_count - 1}")
 
 
 def satisfies(formula: Formula, valuation: Valuation) -> bool:

@@ -166,7 +166,8 @@ def probability_query(
     With ``engine="bruteforce"`` the probability comes from world
     enumeration instead of the diagram; the covering set and formula are
     still reported.  A query entailed in no world yields probability 0
-    with an empty covering set.
+    with an empty covering set.  ``config.timeout_s`` bounds the
+    justification search, the diagram compilation and the enumeration.
     """
     if config is None:
         config = RunConfig()
@@ -184,7 +185,7 @@ def probability_query(
     bdd_nodes = 0
     if config.engine == "bdd":
         manager = BddManager(len(kb.prob_indices))
-        root = manager.build(formula)
+        root = manager.build(formula, deadline=deadline)
         probs = dict(enumerate(kb.probabilities))
         probability = manager.probability(root, probs)
         bdd_nodes = manager.node_count(root)

@@ -2,7 +2,8 @@
 
 Canonicity is exercised against exhaustive truth tables on up to six
 variables: two functions build to the same reference exactly when their
-tables agree.
+tables agree.  ``build`` is checked against the fold over ``apply_and``
+and ``apply_or`` that it replaced, kept here as ``fold_build``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probalc.bdd import FALSE_REF, TRUE_REF, BddManager, MissingProbabilityError
-from probalc.pinpoint import Conj, Disj, FALSE, TRUE, Var, satisfies
+from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
+from probalc.justify import all_justifications
+from probalc.parser import parse_kb, parse_query
+from probalc.pinpoint import (
+    Conj,
+    Disj,
+    FALSE,
+    TRUE,
+    Formula,
+    TrueFormula,
+    Var,
+    formula_from_justifications,
+    satisfies,
+)
+from probalc.tableau import Deadline, ResourceLimitError
+
+from conftest import CRIME_QUERY_TEXT, CRIME_TEXT
 
 CRIME_FORMULA = Disj((Conj((Var(0), Var(1))), Conj((Var(0), Var(2)))))
 CRIME_PROBS = {0: 0.2, 1: 0.6, 2: 0.7}
@@ -43,6 +60,34 @@ def truth_table(formula, var_count):
         satisfies(formula, {i for i, bit in enumerate(bits) if bit})
         for bits in itertools.product((0, 1), repeat=var_count)
     )
+
+
+def fold_build(manager: BddManager, formula: Formula) -> int:
+    """Reference compiler: fold the parts with ``apply_and``/``apply_or``."""
+    t = type(formula)
+    if t is Var:
+        return manager.var(formula.ordinal)
+    if t is Conj:
+        ref = TRUE_REF
+        for part in formula.parts:
+            ref = manager.apply_and(ref, fold_build(manager, part))
+        return ref
+    if t is Disj:
+        ref = FALSE_REF
+        for part in formula.parts:
+            ref = manager.apply_or(ref, fold_build(manager, part))
+        return ref
+    return TRUE_REF if t is TrueFormula else FALSE_REF
+
+
+def covering_formulas():
+    """Covering formulas of the seed-2026 corpus, chain n=3..10 and the crime KB."""
+    cases = list(fuzz_corpus(2026, 200))
+    cases += [(generate_synthetic(n), chain_query(n)) for n in range(3, 11)]
+    cases.append((parse_kb(CRIME_TEXT), parse_query(CRIME_QUERY_TEXT)))
+    for kb, query in cases:
+        covering = all_justifications(kb, query)
+        yield len(kb.prob_indices), formula_from_justifications(covering, kb)
 
 
 def evaluate_ref(manager, ref, chosen):
@@ -127,6 +172,57 @@ class TestStructure:
             for child in (m.low(r), m.high(r)):
                 assert m.level(child) > m.level(r)
                 stack.append(child)
+
+
+class TestBuildAgainstApply:
+    """``build`` must give the root the apply fold gives in the same manager."""
+
+    def test_covering_formulas(self):
+        checked = 0
+        for var_count, formula in covering_formulas():
+            m = BddManager(var_count)
+            assert m.build(formula) == fold_build(m, formula)
+            checked += 1
+        assert checked == 209
+
+    @settings(max_examples=300)
+    @given(monotone_formulas(max_depth=4))
+    def test_nested_formulas(self, case):
+        var_count, formula = case
+        m = BddManager(var_count)
+        assert m.build(formula) == fold_build(m, formula)
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            Var(3),
+            Var(-1),
+            Conj((Var(0), Var(3))),
+            Disj((Var(0), Conj((Var(1), Var(-1))))),
+            Conj((Disj((Var(0), Var(1))), Disj((Var(2), Var(7))))),
+        ],
+        ids=["var", "negative", "conj", "disj", "nested"],
+    )
+    def test_out_of_range_ordinal(self, formula):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            BddManager(3).build(formula)
+
+    def test_deadline(self):
+        m = BddManager(3)
+        formula = Disj((Conj((Var(0), Var(1))), Var(2)))
+        with pytest.raises(ResourceLimitError):
+            m.build(formula, deadline=Deadline(at=0.0))
+        assert m.build(formula, deadline=Deadline.after(60.0)) == fold_build(m, formula)
+
+    def test_deep_conjunction(self):
+        """1,200 levels: deeper than Python's default recursion limit."""
+        m = BddManager(1200)
+        ref = m.build(Conj(tuple(Var(i) for i in range(1200))))
+        assert m.node_count(ref) == 1200
+        memo: dict[int, float] = {}
+        probability = m.probability(ref, {i: 0.99 for i in range(1200)}, memo)
+        assert math.isclose(probability, 0.99**1200, rel_tol=1e-12)
+        assert len(memo) == 1200
 
 
 class TestEquivalence:

@@ -267,6 +267,30 @@ def test_search_recursion_at_depth(tmp_path, count, code, out, err):
     assert "Traceback" not in result.stderr
 
 
+def test_long_justification_gets_a_diagram(tmp_path):
+    """One justification of 600 annotated inclusions: a 600-level diagram.
+
+    Built by folding ``apply_and``, the diagram recursed once per level and
+    aborted with ``maximum recursion depth exceeded``.
+    """
+    path = tmp_path / "long.kb"
+    path.write_text("".join(f"0.999 :: A{i} <= A{i + 1}\n" for i in range(600)))
+    package_root = Path(probalc.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "probalc.cli", "query", str(path), "A0 <= A600"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        timeout=120,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "Traceback" not in result.stderr
+    first = result.stdout.splitlines()[0]
+    assert first.startswith("probability: ")
+    assert abs(float(first.split()[1]) - 0.999**600) < 1e-12
+    assert "bdd nodes: 600" in result.stdout
+
+
 DEEP_NOT = "a : " + "not " * 2000 + "A\n"
 DEEP_PARENS = "a : " + "(" * 2000 + "A" + ")" * 2000 + "\n"
 

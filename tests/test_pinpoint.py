@@ -23,6 +23,7 @@ from probalc.pinpoint import (
     formula_from_justifications,
     render_formula,
     satisfies,
+    term_masks,
     variables,
 )
 from probalc.tableau import entails
@@ -100,6 +101,24 @@ class TestEvaluation:
         formula = CRIME_FORMULA
         if satisfies(formula, small):
             assert satisfies(formula, small | extra)
+
+
+class TestTermMasks:
+    def test_crime_terms(self):
+        assert term_masks(CRIME_FORMULA, 3) == {0b011, 0b101}
+
+    def test_constants(self):
+        assert term_masks(TRUE, 1) == {0}
+        assert term_masks(FALSE, 1) == frozenset()
+
+    def test_conjunction_over_disjunctions_is_multiplied_out(self):
+        formula = Conj((Disj((Var(0), Var(1))), Disj((Var(2), TRUE)), Var(0)))
+        assert term_masks(formula, 3) == {0b101, 0b001, 0b111, 0b011}
+
+    def test_one_shared_var_per_ordinal(self, crime_kb):
+        justs = [frozenset({0}), frozenset({0, 2}), frozenset({0, 3})]
+        single, first, second = formula_from_justifications(justs, crime_kb).parts
+        assert single is first.parts[0] is second.parts[0]
 
 
 class TestRendering:

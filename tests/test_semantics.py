@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,8 @@ from probalc.semantics import (
     probability_bruteforce,
     probability_query,
 )
-from probalc.tableau import entails
+from probalc.pinpoint import formula_from_justifications
+from probalc.tableau import ResourceLimitError, entails
 
 
 class TestChoices:
@@ -193,6 +195,18 @@ class TestProbabilityQuery:
             assert result.bdd_nodes == 3
         else:
             assert result.bdd_nodes == 0
+
+    def test_timeout_covers_the_diagram_step(self, crime_kb, crime_query, monkeypatch):
+        """A deadline that passes after the search stops the diagram build."""
+        import probalc.semantics as semantics
+
+        def slow_formula(covering, kb):
+            time.sleep(0.3)
+            return formula_from_justifications(covering, kb)
+
+        monkeypatch.setattr(semantics, "formula_from_justifications", slow_formula)
+        with pytest.raises(ResourceLimitError, match="deadline"):
+            probability_query(crime_kb, crime_query, RunConfig(timeout_s=0.2))
 
     def test_chain_probability(self):
         result = probability_query(generate_synthetic(1), chain_query(1))
