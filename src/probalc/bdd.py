@@ -21,8 +21,9 @@ operation and no apply cache is needed.  ``apply_and``, ``apply_or`` and
 The probability of the function is computed by one bottom-up pass: at a
 node for variable i with annotation p_i, the value is p_i times the high
 branch's value plus (1 - p_i) times the low branch's value.  Sharing
-makes the pass linear in the diagram size.  ``build`` and the probability
-pass use explicit stacks, so a diagram's depth is not bounded by Python's
+makes the pass linear in the diagram size.  ``build``, the probability
+pass and the walks (``complement``, ``one_paths``, ``to_dot``) use
+explicit stacks, so a diagram's depth is not bounded by Python's
 recursion limit.
 """
 
@@ -251,43 +252,61 @@ class BddManager:
         return len(seen)
 
     def complement(self, ref: int) -> int:
-        """The diagram of the negated function (terminals swapped)."""
+        """The diagram of the negated function (terminals swapped).
+
+        Nodes are made in the post-order of a recursive walk, low branch
+        first, with an explicit stack.
+        """
         memo: dict[int, int] = {FALSE_REF: TRUE_REF, TRUE_REF: FALSE_REF}
-
-        def walk(r: int) -> int:
-            known = memo.get(r)
-            if known is not None:
-                return known
-            level, low, high = self._entries[r]
-            result = self._node(level, walk(low), walk(high))
-            memo[r] = result
-            return result
-
-        return walk(ref)
+        entries = self._entries
+        stack = [ref]
+        while stack:
+            r = stack[-1]
+            if r in memo:
+                stack.pop()
+                continue
+            level, low, high = entries[r]
+            if low not in memo:
+                stack.append(low)
+            elif high not in memo:
+                stack.append(high)
+            else:
+                memo[r] = self._node(level, memo[low], memo[high])
+                stack.pop()
+        return memo[ref]
 
     def one_paths(self, ref: int) -> Iterator[dict[int, int]]:
         """Root-to-1 paths as {ordinal: decision} dicts over visited levels.
 
         The paths describe pairwise incompatible partial choices whose
-        union of worlds is exactly where the function is true.
+        union of worlds is exactly where the function is true.  They come
+        in depth-first order, low branch first; each stack frame records
+        how many of its node's branches have been entered.
         """
-        def walk(r: int, path: dict[int, int]) -> Iterator[dict[int, int]]:
-            if r == TRUE_REF:
-                yield dict(path)
-                return
-            if r == FALSE_REF:
-                return
+        path: dict[int, int] = {}
+        stack = [[ref, 0]]
+        while stack:
+            frame = stack[-1]
+            r, entered = frame
+            if r <= TRUE_REF:
+                if r == TRUE_REF:
+                    yield dict(path)
+                stack.pop()
+                continue
             level, low, high = self._entries[r]
-            path[level] = 0
-            yield from walk(low, path)
-            path[level] = 1
-            yield from walk(high, path)
-            del path[level]
-
-        yield from walk(ref, {})
+            if entered == 2:
+                del path[level]
+                stack.pop()
+                continue
+            path[level] = entered
+            frame[1] = entered + 1
+            stack.append([high if entered else low, 0])
 
     def to_dot(self, ref: int) -> str:
-        """GraphViz text; the 0-branch is drawn dashed."""
+        """GraphViz text; the 0-branch is drawn dashed.
+
+        Nodes are listed in depth-first pre-order, low branch first.
+        """
         lines = [
             "digraph bdd {",
             '  f [shape=box, label="0"];',
@@ -296,16 +315,15 @@ class BddManager:
         name = {FALSE_REF: "f", TRUE_REF: "t"}
         order: list[int] = []
         seen: set[int] = set()
-
-        def walk(r: int) -> None:
+        stack = [ref]
+        while stack:
+            r = stack.pop()
             if r <= TRUE_REF or r in seen:
-                return
+                continue
             seen.add(r)
             order.append(r)
-            walk(self.low(r))
-            walk(self.high(r))
-
-        walk(ref)
+            stack.append(self.high(r))
+            stack.append(self.low(r))
         for r in order:
             name[r] = f"n{r}"
             lines.append(f'  n{r} [label="x{self.level(r) + 1}"];')

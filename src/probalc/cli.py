@@ -5,7 +5,7 @@ Subcommands: ``query`` answers a probabilistic query against a KB file,
 ``check`` tests consistency.  Exit codes: 0 on success, 1 on a parse
 error (concept text nested too deeply for the parser's stack included),
 2 when a timeout or budget is exhausted or the reasoner runs out of
-Python stack.
+Python stack or memory.
 """
 
 from __future__ import annotations
@@ -93,6 +93,11 @@ def _print_nesting_error() -> None:
     print("parse error: concept nesting too deep", file=sys.stderr)
 
 
+def _print_out_of_memory() -> None:
+    # str(MemoryError()) is empty, so the message names the cause itself.
+    print("aborted: out of memory", file=sys.stderr)
+
+
 def _justification_lines(kb, covering: CoveringSet) -> list[str]:
     lines = []
     for rank, just in enumerate(covering.ordered(), 1):
@@ -122,13 +127,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     )
     try:
         result = probability_query(kb, query, config)
+        if args.dot:
+            manager = BddManager(len(kb.prob_indices))
+            dot = manager.to_dot(manager.build(result.formula))
     except (ResourceLimitError, WorldLimitError, RecursionError) as error:
         print(f"aborted: {error}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        _print_out_of_memory()
+        return EXIT_RESOURCE
     if args.dot:
-        manager = BddManager(len(kb.prob_indices))
-        root = manager.build(result.formula)
-        args.dot.write_text(manager.to_dot(root))
+        args.dot.write_text(dot)
     formula_text = render_formula(result.formula)
     if args.json:
         payload = {
@@ -223,6 +232,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     except (ResourceLimitError, RecursionError) as error:
         print(f"aborted: {error}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        _print_out_of_memory()
         return EXIT_RESOURCE
     if args.json:
         print(json.dumps({"consistent": consistent}))

@@ -4,9 +4,11 @@ A justification is a subset-minimal set of axiom indices that entails the
 query.  Inside the search every axiom set (tree paths, node labels, the
 justifications found, the sweep's working set) is an int bitmask with
 bit ``i`` for axiom ``i``: the tree and the sweep need only set
-difference and subset tests.  Index collections become masks where they
-arrive (public arguments and the tableau's trace) and frozensets only in
-returned values.
+difference and subset tests.  The reasoner takes the same masks: each
+query's knowledge base is compiled once (``tableau.CompiledKB``), and a
+call passes the compiled KB with a mask and gets a traced answer back as
+a mask.  Index collections become masks where they arrive (public
+arguments) and frozensets only in returned values.
 
 Each question "does this axiom set entail the query?" is one
 memo-then-reasoner step, ``_Session.ask``.  Entailment is monotone in the
@@ -49,6 +51,7 @@ from typing import Iterable, Iterator
 from .kb import KnowledgeBase, Query, signature
 from .tableau import (
     DEFAULT_NODE_BUDGET,
+    CompiledKB,
     Deadline,
     NotEntailedError,
     ResourceLimitError,
@@ -90,22 +93,24 @@ class CoveringSet:
 
 
 class _Session:
-    """Per-query reasoning context: budgets, deadline, call counting, memo.
+    """Per-query reasoning context: compiled KB, budgets, call counting, memo.
 
-    ``_negative`` holds, as bitmasks of axiom indices, the maximal sets
-    known not to entail the query; none of them is a subset of another.
-    A question about a subset of one of them is answered without a
-    reasoner call.  An exhausted budget raises, so only real answers are
-    recorded.
+    The knowledge base is compiled once, and every reasoner call passes
+    the compiled KB with the question's bitmask.  ``_negative`` holds, as
+    bitmasks of axiom indices, the maximal sets known not to entail the
+    query; none of them is a subset of another.  A question about a
+    subset of one of them is answered without a reasoner call.  An
+    exhausted budget raises, so only real answers are recorded.
     """
 
     __slots__ = (
-        "kb", "query", "node_budget", "deadline", "tableau_calls", "memo_hits", "_negative"
+        "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits", "_negative"
     )
 
     def __init__(self, kb, query, node_budget, deadline):
         self.kb = kb
         self.query = query
+        self.compiled = CompiledKB(kb.indexed())
         self.node_budget = node_budget
         self.deadline = deadline
         self.tableau_calls = 0
@@ -123,15 +128,13 @@ class _Session:
                 self.memo_hits += 1
                 return None
         self.tableau_calls += 1
-        indices = _bits(mask)
         budget = {"node_budget": self.node_budget, "deadline": self.deadline}
         if traced:
             try:
-                trace = trace_entailment(self.kb.indexed(indices), self.query, **budget)
-                return _mask(trace, len(self.kb))
+                return trace_entailment(self.compiled, self.query, mask=mask, **budget)
             except NotEntailedError:
                 pass
-        elif entails(self.kb.axioms_at(indices), self.query, **budget):
+        elif entails(self.compiled, self.query, mask=mask, **budget):
             return mask
         self._negative = [known for known in self._negative if known & ~mask]
         self._negative.append(mask)

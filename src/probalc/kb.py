@@ -13,7 +13,8 @@ concurrent readers.  Axioms and queries memoise their tableau form on first
 use; the memo is a pure function of the fields, so the model stays logically
 immutable, and it is freed with its axiom instead of held process-wide.
 Concepts memoise their structural hash the same way (an atomic concept also
-its complement), so the tableau's label lookups stop hashing whole subtrees.
+its complement).  The tableau no longer hashes concepts: it interns them as
+ints once per query (``tableau.CompiledKB``).
 The hash memo stays out of equality, ``repr``, ``dataclasses.replace`` and
 pickles.
 """
@@ -43,9 +44,8 @@ class Concept:
 def _concept(cls):
     """Make ``cls`` a frozen dataclass that memoises its structural hash.
 
-    The tableau hashes the same concepts millions of times, and the
-    generated hash of a frozen dataclass hashes the whole subtree on every
-    call.  The memo holds the generated value, so hashes, equality and
+    The generated hash of a frozen dataclass hashes the whole subtree on
+    every call.  The memo holds the generated value, so hashes, equality and
     ``repr`` stay exactly those of the plain dataclass.
     """
     cls = dataclass(frozen=True)(cls)
@@ -69,7 +69,7 @@ class Atomic(Concept):
 
     @cached_property
     def complement(self) -> "Not":
-        """``not self``, built once, so the clash check allocates nothing."""
+        """``not self``, built once."""
         return Not(self)
 
 

@@ -7,12 +7,21 @@ and unfolding, then disjunction, then existential generation) with nodes
 visited in creation order, so runs are fully deterministic.  Deferring
 branching and node generation this way also keeps traces small.
 
-Disjunctions wait on an agenda (Horrocks & Patel-Schneider, *Optimizing
-description logic subsumption*, J. Logic Comput. 1999): each node keeps
-its disjunctions in label order with a cursor past the ones already
-satisfied.  Labels only grow along a branch, so a satisfied disjunction
-stays satisfied, and the next one to branch on is found without
-rescanning the labels.
+The search runs on a compiled knowledge base (Horrocks & Patel-Schneider,
+*Optimizing description logic subsumption*, J. Logic Comput. 1999, call
+this normalisation and encoding).  Every distinct concept of the axioms
+and of the query's refutation is interned once as an int, with per-id
+tables for its kind, children, role and complement, so a label is a dict
+from ints to traces and the clash check is one int lookup.  Axiom ``i``
+owns bit ``1 << i``; one call takes the compiled KB and a bitmask of the
+axioms it may use, and skips every other axiom where it would be used.
+A justification search compiles its KB once and asks about thousands of
+masks; the list-of-axioms API compiles its input on every call.
+
+Disjunctions wait on an agenda: each node keeps its disjunctions in
+label order with a cursor past the ones already satisfied.  Labels only
+grow along a branch, so a satisfied disjunction stays satisfied, and the
+next one to branch on is found without rescanning the labels.
 
 Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
 *Reasoning with axioms: theory and practice*, KR 2000).  An inclusion
@@ -20,15 +29,18 @@ Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
 ``A`` enters a label, ``C`` is added alongside it, so the axiom never
 branches; ``not A`` unfolds nothing.  Every other inclusion is
 internalised as ``not sub or sup`` and added to every node, where the
-search branches on it.
+search branches on it.  Adding a concept walks what it unfolds to with
+an explicit stack in the pre-order of a recursive descent, so an
+unfolding chain of any length fits in the Python stack.
 
-Every labeled concept carries a trace: the set of axiom indices its
-derivation used.  Rule applications take the union of their premises'
-traces; applying an inclusion axiom, by unfolding or as an internalised
-disjunction, adds that axiom's own index; a clash reports the union of
-the traces of the two clashing concepts.  When the refutation closes, the
-union of one clash trace per explored branch is an axiom set that still
-entails the query (usually a non-minimal one).
+Every labeled concept carries a trace: the bitmask of the axioms its
+derivation used, or 0 throughout an untraced call.  Rule applications
+take the union of their premises' traces; applying an inclusion axiom,
+by unfolding or as an internalised disjunction, adds that axiom's own
+bit; a clash reports the union of the traces of the two clashing
+concepts.  When the refutation closes, the union of one clash trace per
+explored branch is an axiom set that still entails the query (usually a
+non-minimal one).
 
 Roles have no inverses, so the subtree below a fresh existential witness
 never constrains the rest of the graph.  Each witness is therefore solved
@@ -70,7 +82,13 @@ from .kb import (
 
 DEFAULT_NODE_BUDGET = 100_000
 
-_EMPTY: frozenset[int] = frozenset()
+# Kinds of interned concepts.  Atoms and negations come first: they are
+# the two kinds whose addition checks for a clash.
+_ATOM, _NOT, _OR, _AND, _FORALL, _EXISTS, _TOP, _BOTTOM = range(8)
+_KIND = {
+    Atomic: _ATOM, Not: _NOT, Or: _OR, And: _AND,
+    Forall: _FORALL, Exists: _EXISTS, Top: _TOP, Bottom: _BOTTOM,
+}
 
 
 class ResourceLimitError(Exception):
@@ -102,19 +120,128 @@ class Deadline:
             raise ResourceLimitError("deadline exceeded")
 
 
+class CompiledKB:
+    """Axioms with every concept interned as an int, for many tableau calls.
+
+    Concept id ``c`` has kind ``kind[c]``; ``left[c]`` is the argument of
+    a negation, the left side of a binary concept or the filler of a
+    quantifier, ``right[c]`` the right side of a binary concept, and
+    ``role[c]`` a quantifier's role id.  ``comp[c]`` is the id of the
+    complement of an atom or the argument of a negation (-1 for the other
+    kinds).  Structurally equal concepts get one id.
+
+    Axiom ``i`` owns bit ``1 << i``.  In ascending index order, ``gcis``
+    holds the internalised inclusions as ``(bit, constraint)``,
+    ``unfold[c]`` the ``(bit, sup)`` pairs of the absorbed inclusions
+    whose left side is atom ``c``, and ``abox`` the assertions as
+    ``(bit, subject, object, what)``: for a concept assertion the object
+    is -1 and ``what`` the concept, for a role assertion ``what`` is the
+    role.  Individuals and roles are ids of their names.
+    """
+
+    __slots__ = (
+        "kind", "left", "right", "role", "comp", "unfold", "gcis", "abox",
+        "_ids", "_names", "_query", "_goal",
+    )
+
+    def __init__(self, indexed_axioms: Iterable[tuple[int, Axiom]]):
+        self.kind: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.role: list[int] = []
+        self.comp: list[int] = []
+        self.unfold: list[list[tuple[int, int]]] = []
+        self.gcis: list[tuple[int, int]] = []
+        self.abox: list[tuple[int, int, int, int]] = []
+        self._ids: dict[object, int] = {}
+        self._names: dict[str, int] = {}
+        self._query: Query | None = None
+        self._goal = (-1, -1)
+        for index, axiom in indexed_axioms:
+            bit = 1 << index
+            t = type(axiom)
+            if t is SubClassOf:
+                if type(axiom.sub) is Atomic:
+                    # The constraint is ``not sub or nnf(sup)``.
+                    sub = self.intern(axiom.sub)
+                    self.unfold[sub].append((bit, self.intern(axiom.constraint.right)))
+                else:
+                    self.gcis.append((bit, self.intern(axiom.constraint)))
+            elif t is ConceptAssertion:
+                self.abox.append((bit, self.name(axiom.individual), -1, self.intern(axiom.normal)))
+            elif t is RoleAssertion:
+                self.abox.append(
+                    (bit, self.name(axiom.subject), self.name(axiom.object), self.name(axiom.role))
+                )
+            else:
+                raise TypeError(f"not an axiom: {axiom!r}")
+
+    def name(self, text: str) -> int:
+        """The id of an individual or role name."""
+        return self._names.setdefault(text, len(self._names))
+
+    def intern(self, concept: Concept) -> int:
+        """The id of ``concept``, allocating ids for it and its parts if new.
+
+        Ids are hash-consed bottom-up on ``(kind, left, right, role)`` (an
+        atom on its name), so no concept tree is hashed.  An atom and its
+        negation are interned together, each the other's complement.
+        """
+        t = type(concept)
+        if t is Atomic:
+            atom = self._ids.get(concept.name)
+            if atom is None:
+                atom = self._new(concept.name, _ATOM, -1, -1, -1)
+                self.comp[atom] = self._new((_NOT, atom, -1, -1), _NOT, atom, -1, -1)
+            return atom
+        left = right = role = -1
+        if t is Not:
+            left = self.intern(concept.arg)
+            if self.kind[left] == _ATOM:
+                return self.comp[left]
+        elif t is And or t is Or:
+            left = self.intern(concept.left)
+            right = self.intern(concept.right)
+        elif t is Exists or t is Forall:
+            left = self.intern(concept.filler)
+            role = self.name(concept.role)
+        key = (_KIND[t], left, right, role)
+        found = self._ids.get(key)
+        return found if found is not None else self._new(key, *key)
+
+    def _new(self, key, kind: int, left: int, right: int, role: int) -> int:
+        concept_id = len(self.kind)
+        self._ids[key] = concept_id
+        self.kind.append(kind)
+        self.left.append(left)
+        self.right.append(right)
+        self.role.append(role)
+        self.comp.append(left if kind == _NOT else -1)
+        self.unfold.append([])
+        return concept_id
+
+    def refutation(self, query: Query) -> tuple[int, int]:
+        """The query's counter-assertion as (individual id, concept id)."""
+        if query is not self._query:
+            assertion = query.refutation
+            self._goal = (self.name(assertion.individual), self.intern(assertion.normal))
+            self._query = query
+        return self._goal
+
+
 class _Run:
     """Mutable per-call bookkeeping shared by all branches.
 
-    ``gcis`` holds the internalised inclusions added to every node;
-    ``unfold`` maps an atomic concept to the ``(trace, sup)`` pairs its
-    absorbed inclusions add wherever it appears.
+    Only the axioms in ``mask`` take part; ``seen`` is ``mask`` in a
+    traced call and 0 otherwise, so ``bit & seen`` is an axiom's trace.
     """
 
-    __slots__ = ("gcis", "unfold", "node_budget", "deadline", "nodes_created")
+    __slots__ = ("kb", "mask", "seen", "node_budget", "deadline", "nodes_created")
 
-    def __init__(self, gcis, unfold, node_budget: int, deadline: Deadline | None):
-        self.gcis = gcis
-        self.unfold = unfold
+    def __init__(self, kb: CompiledKB, mask: int, seen: int, node_budget: int, deadline: Deadline | None):
+        self.kb = kb
+        self.mask = mask
+        self.seen = seen
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes_created = 0
@@ -131,25 +258,24 @@ class _Run:
 class _Graph:
     """One branch of the completion graph.
 
-    ``labels[n]`` maps each concept in node n's label to its trace;
+    ``labels[n]`` maps each concept id in node n's label to its trace;
     insertion order doubles as the deterministic scan order.  The agenda
-    ``disjunctions[n]`` lists the ``Or`` concepts of that label in the
-    same order, and every one before ``cursors[n]`` is satisfied.
-    ``edges`` maps ``(node, role)`` to the successors and their traces;
-    it is fixed before the search and shared by every branch.  Branching
-    copies the labels and the agenda, so rule applications never need
-    undoing.
+    ``disjunctions[n]`` lists the disjunctions of that label in the same
+    order, and every one before ``cursors[n]`` is satisfied.  ``edges``
+    maps ``(node, role)`` to the successors and their traces; it is fixed
+    before the search and shared by every branch.  Branching copies the
+    labels and the agenda, so rule applications never need undoing.
     """
 
     __slots__ = ("run", "labels", "disjunctions", "cursors", "edges", "clash")
 
-    def __init__(self, run: _Run, edges: dict[tuple[int, str], dict[int, frozenset[int]]]):
+    def __init__(self, run: _Run, edges: dict[tuple[int, int], dict[int, int]]):
         self.run = run
-        self.labels: list[dict[Concept, frozenset[int]]] = []
-        self.disjunctions: list[list[Or]] = []
+        self.labels: list[dict[int, int]] = []
+        self.disjunctions: list[list[int]] = []
         self.cursors: list[int] = []
         self.edges = edges
-        self.clash: frozenset[int] | None = None
+        self.clash: int | None = None
 
     def copy(self) -> "_Graph":
         g = _Graph.__new__(_Graph)
@@ -162,62 +288,91 @@ class _Graph:
         return g
 
     def new_node(self) -> int:
-        self.run.charge_node()
+        run = self.run
+        run.charge_node()
         node = len(self.labels)
         self.labels.append({})
         self.disjunctions.append([])
         self.cursors.append(0)
-        for trace, constraint in self.run.gcis:
-            self.add(node, constraint, trace)
-            if self.clash is not None:
-                break
+        mask, seen = run.mask, run.seen
+        for bit, constraint in run.kb.gcis:
+            if bit & mask:
+                self.add(node, constraint, bit & seen)
+                if self.clash is not None:
+                    break
         return node
 
-    def add(self, node: int, concept: Concept, trace: frozenset[int]) -> None:
+    def add(self, node: int, concept: int, trace: int) -> None:
+        """Add a concept to a label, then everything it unfolds to.
+
+        Children wait on a LIFO stack, pushed in reverse, so labels fill in
+        the pre-order of a recursive descent; a concept with nothing to
+        unfold allocates no stack.
+        """
         if self.clash is not None:
             return
-        label = self.labels[node]
-        if concept in label:
-            return
-        label[concept] = trace
-        t = type(concept)
-        if t is Bottom:
-            self.clash = trace
-        elif t is Atomic:
-            other = label.get(concept.complement)
-            if other is not None:
-                self.clash = trace | other
-                return
-            for axiom_trace, sup in self.run.unfold.get(concept, ()):
-                self.add(node, sup, trace | axiom_trace)
-                if self.clash is not None:
-                    return
-        elif t is Not:
-            other = label.get(concept.arg)
-            if other is not None:
-                self.clash = trace | other
-        elif t is Or:
-            self.disjunctions[node].append(concept)
-        elif t is And:
-            self.add(node, concept.left, trace)
-            self.add(node, concept.right, trace)
-        elif t is Forall:
-            edges = self.edges.get((node, concept.role))
-            if edges:
-                for succ, edge_trace in edges.items():
-                    self.add(succ, concept.filler, trace | edge_trace)
-                    if self.clash is not None:
+        run = self.run
+        kb = run.kb
+        kind = kb.kind
+        stack = None
+        while True:
+            label = self.labels[node]
+            if concept not in label:
+                label[concept] = trace
+                k = kind[concept]
+                if k <= _NOT:
+                    other = label.get(kb.comp[concept])
+                    if other is not None:
+                        self.clash = trace | other
                         return
-        # Exists waits for its turn in the search loop; Top is inert.
+                    unfold = kb.unfold[concept]
+                    if unfold:
+                        mask, seen = run.mask, run.seen
+                        if stack is None:
+                            stack = []
+                        # Indexed: reversed() would allocate an iterator for
+                        # what is most often a single pair.
+                        at = len(unfold)
+                        while at:
+                            at -= 1
+                            bit, sup = unfold[at]
+                            if bit & mask:
+                                stack.append((node, sup, trace | (bit & seen)))
+                elif k == _OR:
+                    self.disjunctions[node].append(concept)
+                elif k == _AND:
+                    # The left side goes next, as its pop would give it.
+                    if stack is None:
+                        stack = []
+                    stack.append((node, kb.right[concept], trace))
+                    concept = kb.left[concept]
+                    continue
+                elif k == _FORALL:
+                    edges = self.edges.get((node, kb.role[concept]))
+                    if edges:
+                        filler = kb.left[concept]
+                        if stack is None:
+                            stack = []
+                        for succ, edge_trace in reversed(edges.items()):
+                            stack.append((succ, filler, trace | edge_trace))
+                elif k == _BOTTOM:
+                    self.clash = trace
+                    return
+                # Exists waits for its turn in the search loop; Top is inert.
+            if not stack:
+                return
+            node, concept, trace = stack.pop()
 
-    def next_disjunction(self) -> tuple[int, Or] | None:
+    def next_disjunction(self) -> tuple[int, int] | None:
         """The first unsatisfied disjunction, in node order, then label order."""
+        kb = self.run.kb
+        left, right = kb.left, kb.right
         for node, pending in enumerate(self.disjunctions):
             label = self.labels[node]
             at = self.cursors[node]
             while at < len(pending):
                 concept = pending[at]
-                if concept.left not in label and concept.right not in label:
+                if left[concept] not in label and right[concept] not in label:
                     self.cursors[node] = at
                     return node, concept
                 at += 1
@@ -225,7 +380,7 @@ class _Graph:
         return None
 
 
-def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | None:
+def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> int | None:
     """Search this branch; None means a clash-free completion exists.
 
     ``ancestors`` holds the label key sets on the witness chain above this
@@ -237,15 +392,14 @@ def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | 
         return graph.clash
     if run.deadline is not None:
         run.deadline.check()
+    kb = run.kb
     pick = graph.next_disjunction()
     if pick is not None:
         node, disjunction = pick
         trace = graph.labels[node][disjunction]
-        if disjunction.left == disjunction.right:
-            sides: tuple[Concept, ...] = (disjunction.left,)
-        else:
-            sides = (disjunction.left, disjunction.right)
-        closed = _EMPTY
+        left, right = kb.left[disjunction], kb.right[disjunction]
+        sides = (left,) if left == right else (left, right)
+        closed = 0
         for side in sides:
             branch = graph.copy()
             branch.add(node, side, trace)
@@ -258,15 +412,17 @@ def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | 
     # witnesses, each existential solved in its own subtree.  All roots are
     # built first, so that one that clashes outright closes the branch
     # before any subtree is searched.
+    kind, filler_of, role_of = kb.kind, kb.left, kb.role
     pending: list[tuple[_Graph, tuple[frozenset, ...]]] = []
     for node in range(len(graph.labels)):
         label = graph.labels[node]
         above: tuple[frozenset, ...] | None = None
         for concept in label:
-            if type(concept) is not Exists:
+            if kind[concept] != _EXISTS:
                 continue
-            edges = graph.edges.get((node, concept.role), ())
-            if any(concept.filler in graph.labels[s] for s in edges):
+            role, filler = role_of[concept], filler_of[concept]
+            edges = graph.edges.get((node, role), ())
+            if any(filler in graph.labels[s] for s in edges):
                 continue
             if above is None:
                 if any(label.keys() <= keys for keys in ancestors):
@@ -275,10 +431,10 @@ def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | 
             trace = label[concept]
             witness = _Graph(run, {})
             root = witness.new_node()
-            witness.add(root, concept.filler, trace)
+            witness.add(root, filler, trace)
             for other, other_trace in label.items():
-                if type(other) is Forall and other.role == concept.role:
-                    witness.add(root, other.filler, other_trace | trace)
+                if kind[other] == _FORALL and role_of[other] == role:
+                    witness.add(root, filler_of[other], other_trace | trace)
             if witness.clash is not None:
                 return witness.clash
             pending.append((witness, above))
@@ -290,38 +446,37 @@ def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> frozenset[int] | 
 
 
 def _refute(
-    seeded: list[tuple[frozenset[int], Axiom]],
+    kb: CompiledKB,
+    mask: int,
+    traced: bool,
+    goal: tuple[int, int] | None,
     node_budget: int,
     deadline: Deadline | None,
-) -> frozenset[int] | None:
-    """Run the tableau on the given axioms; each axiom carries its trace seed.
+) -> int | None:
+    """Run the tableau on the axioms of ``kb`` in ``mask`` plus the goal assertion.
 
     Returns None when a clash-free completion graph exists (the axiom set
-    is consistent) and the union of branch clash traces otherwise.
+    is consistent) and the union of branch clash traces otherwise, a
+    bitmask that is 0 when not ``traced``.
     """
-    gcis: list[tuple[frozenset[int], Concept]] = []
-    unfold: dict[Concept, list[tuple[frozenset[int], Concept]]] = {}
+    seen = mask if traced else 0
     # Each individual gets a node at its first mention; a repeated role
     # assertion keeps the first one's trace.
-    nodes: dict[str, int] = {}
-    edges: dict[tuple[int, str], dict[int, frozenset[int]]] = {}
-    asserted: list[tuple[int, Concept, frozenset[int]]] = []
-    for trace, axiom in seeded:
-        t = type(axiom)
-        if t is SubClassOf:
-            if type(axiom.sub) is Atomic:
-                # The constraint is ``not sub or nnf(sup)``.
-                unfold.setdefault(axiom.sub, []).append((trace, axiom.constraint.right))
+    nodes: dict[int, int] = {}
+    edges: dict[tuple[int, int], dict[int, int]] = {}
+    asserted: list[tuple[int, int, int]] = []
+    for bit, subject, obj, what in kb.abox:
+        if bit & mask:
+            node = nodes.setdefault(subject, len(nodes))
+            if obj < 0:
+                asserted.append((node, what, bit & seen))
             else:
-                gcis.append((trace, axiom.constraint))
-        elif t is ConceptAssertion:
-            node = nodes.setdefault(axiom.individual, len(nodes))
-            asserted.append((node, axiom.normal, trace))
-        elif t is RoleAssertion:
-            subject = nodes.setdefault(axiom.subject, len(nodes))
-            obj = nodes.setdefault(axiom.object, len(nodes))
-            edges.setdefault((subject, axiom.role), {}).setdefault(obj, trace)
-    graph = _Graph(_Run(tuple(gcis), unfold, node_budget, deadline), edges)
+                successor = nodes.setdefault(obj, len(nodes))
+                edges.setdefault((node, what), {}).setdefault(successor, bit & seen)
+    if goal is not None:
+        individual, concept = goal
+        asserted.append((nodes.setdefault(individual, len(nodes)), concept, 0))
+    graph = _Graph(_Run(kb, mask, seen, node_budget, deadline), edges)
     # The domain is never empty: without individuals, a single anonymous
     # element must still satisfy every inclusion axiom.
     for _ in range(len(nodes) or 1):
@@ -338,40 +493,47 @@ def is_consistent(
     deadline: Deadline | None = None,
 ) -> bool:
     """Does the axiom set have a model?"""
-    seeded = [(_EMPTY, axiom) for axiom in axioms]
-    return _refute(seeded, node_budget, deadline) is None
+    return _refute(CompiledKB(enumerate(axioms)), -1, False, None, node_budget, deadline) is None
 
 
 def entails(
-    axioms: Iterable[Axiom],
+    axioms: Iterable[Axiom] | CompiledKB,
     query: Query,
     *,
+    mask: int = -1,
     node_budget: int = DEFAULT_NODE_BUDGET,
     deadline: Deadline | None = None,
 ) -> bool:
-    """Does the axiom set entail the query?  Inconsistent sets entail everything."""
-    seeded = [(_EMPTY, axiom) for axiom in axioms]
-    seeded.append((_EMPTY, query.refutation))
-    return _refute(seeded, node_budget, deadline) is not None
+    """Does the axiom set entail the query?  Inconsistent sets entail everything.
+
+    ``axioms`` is a list, whose i-th axiom owns bit ``1 << i``, or a
+    compiled KB; either way only the axioms whose bits are in ``mask``
+    (default: all) take part.
+    """
+    kb = axioms if type(axioms) is CompiledKB else CompiledKB(enumerate(axioms))
+    return _refute(kb, mask, False, kb.refutation(query), node_budget, deadline) is not None
 
 
 def trace_entailment(
-    indexed_axioms: Iterable[tuple[int, Axiom]],
+    indexed_axioms: Iterable[tuple[int, Axiom]] | CompiledKB,
     query: Query,
     *,
+    mask: int = -1,
     node_budget: int = DEFAULT_NODE_BUDGET,
     deadline: Deadline | None = None,
-) -> frozenset[int]:
+) -> frozenset[int] | int:
     """Axiom indices collected while refuting the negated query.
 
     The returned set always entails the query; it is not necessarily
-    minimal.  Raises NotEntailedError when the query is not entailed.
+    minimal.  Given ``(index, axiom)`` pairs it is a set of indices; given
+    a compiled KB it is a bitmask within ``mask``.  Raises
+    NotEntailedError when the query is not entailed.
     """
-    seeded: list[tuple[frozenset[int], Axiom]] = [
-        (frozenset((index,)), axiom) for index, axiom in indexed_axioms
-    ]
-    seeded.append((_EMPTY, query.refutation))
-    result = _refute(seeded, node_budget, deadline)
+    compiled = type(indexed_axioms) is CompiledKB
+    kb = indexed_axioms if compiled else CompiledKB(indexed_axioms)
+    result = _refute(kb, mask, True, kb.refutation(query), node_budget, deadline)
     if result is None:
         raise NotEntailedError("query is not entailed by the given axioms")
-    return result
+    if compiled:
+        return result
+    return frozenset(i for i in range(result.bit_length()) if result >> i & 1)

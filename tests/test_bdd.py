@@ -224,6 +224,18 @@ class TestBuildAgainstApply:
         assert math.isclose(probability, 0.99**1200, rel_tol=1e-12)
         assert len(memo) == 1200
 
+    def test_deep_conjunction_walks(self):
+        """Complement, 1-paths and DOT text walk 1,200 levels without recursion."""
+        m = BddManager(1200)
+        ref = m.build(Conj(tuple(Var(i) for i in range(1200))))
+        comp = m.complement(ref)
+        assert m.node_count(comp) == 1200
+        assert m.complement(comp) == ref
+        assert list(m.one_paths(ref)) == [dict.fromkeys(range(1200), 1)]
+        assert len(list(m.one_paths(comp))) == 1200
+        dot = m.to_dot(ref)
+        assert sum(line.startswith("  n") and "[label=" in line for line in dot.splitlines()) == 1200
+
 
 class TestEquivalence:
     def test_crime_formula_equals_factored_form(self):
@@ -393,3 +405,55 @@ class TestDot:
         dot = m.to_dot(TRUE_REF)
         assert 'label="1"' in dot
         assert not any(line.strip().startswith("n") for line in dot.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# The walks against the recursive forms they replaced
+
+
+def recursive_complement(m: BddManager, ref: int) -> int:
+    memo = {FALSE_REF: TRUE_REF, TRUE_REF: FALSE_REF}
+
+    def walk(r):
+        if r not in memo:
+            low, high = walk(m.low(r)), walk(m.high(r))
+            memo[r] = m._node(m.level(r), low, high)
+        return memo[r]
+
+    return walk(ref)
+
+
+def recursive_one_paths(m: BddManager, ref: int, path=None):
+    path = {} if path is None else path
+    if ref == TRUE_REF:
+        yield dict(path)
+    elif ref != FALSE_REF:
+        path[m.level(ref)] = 0
+        yield from recursive_one_paths(m, m.low(ref), path)
+        path[m.level(ref)] = 1
+        yield from recursive_one_paths(m, m.high(ref), path)
+        del path[m.level(ref)]
+
+
+def recursive_dot_order(m: BddManager, ref: int, order=None) -> list[int]:
+    order = [] if order is None else order
+    if ref > TRUE_REF and ref not in order:
+        order.append(ref)
+        recursive_dot_order(m, m.low(ref), order)
+        recursive_dot_order(m, m.high(ref), order)
+    return order
+
+
+def test_walks_match_their_recursive_forms():
+    """Same refs made in the same order, same paths in the same order, same DOT node order."""
+    for var_count, formula in covering_formulas():
+        m, reference = BddManager(var_count), BddManager(var_count)
+        ref = m.build(formula)
+        assert reference.build(formula) == ref
+        assert m.complement(ref) == recursive_complement(reference, ref)
+        assert m._entries == reference._entries
+        assert [list(p.items()) for p in m.one_paths(ref)] == [
+            list(p.items()) for p in recursive_one_paths(reference, ref)
+        ]
+        names = [line.split()[0] for line in m.to_dot(ref).splitlines() if "[label=" in line]
+        assert names == [f"n{r}" for r in recursive_dot_order(reference, ref)]

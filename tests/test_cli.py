@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import probalc
+from probalc import cli
 from probalc.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 from probalc.parser import parse_kb
 
@@ -216,23 +218,53 @@ class TestCheckCommand:
         assert "parse error" in err
 
 
-@pytest.mark.parametrize(
-    "command, code, out, err",
-    [(["query", "A0 <= A1200"], EXIT_RESOURCE, "", "aborted"), (["check"], EXIT_OK, "consistent", "")],
-    ids=["query", "check"],
-)
-def test_reasoner_recursion_error_aborts(capsys, tmp_path, command, code, out, err):
+LONG_CHAIN = "".join(f"0.99 :: A{i} <= A{i + 1}\n" for i in range(1200))
+
+
+@pytest.mark.parametrize("command", ["query", "check"])
+def test_reasoner_recursion_error_aborts(capsys, tmp_path, command):
     """A chain of 1,200 inclusions.
 
-    The query unfolds A0 through all 1,200 inclusions, which exhausts the
-    Python stack and aborts with the budget exit code.  The consistency
-    check has no individual to unfold them on, so it answers.
+    The query unfolds A0 through all 1,200 inclusions.  The unfolding
+    uses an explicit stack, so it answers 0.99**1200 where it once
+    exhausted the Python stack.  The consistency check has no individual
+    to unfold them on, so it answers as well.
     """
     path = tmp_path / "long.kb"
-    path.write_text("".join(f"0.99 :: A{i} <= A{i + 1}\n" for i in range(1200)))
-    got_code, got_out, got_err = run(capsys, command[0], str(path), *command[1:])
-    assert (got_code, got_out.strip()) == (code, out)
-    assert err in got_err
+    path.write_text(LONG_CHAIN)
+    if command == "query":
+        code, out, err = run(capsys, "query", str(path), "A0 <= A1200")
+        assert (code, err) == (EXIT_OK, "")
+        first = out.splitlines()[0]
+        assert first.startswith("probability: ")
+        assert abs(float(first.split()[1]) - 0.99**1200) < 1e-12
+    else:
+        assert run(capsys, "check", str(path)) == (EXIT_OK, "consistent\n", "")
+
+
+def test_dot_export_of_a_deep_diagram(capsys, tmp_path):
+    """The 1,200-inclusion chain's diagram has one node per level; ``--dot`` writes them all."""
+    path = tmp_path / "long.kb"
+    path.write_text(LONG_CHAIN)
+    dot_path = tmp_path / "long.dot"
+    code, out, err = run(capsys, "query", str(path), "A0 <= A1200", "--dot", str(dot_path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "bdd nodes: 1200" in out
+    nodes = [line for line in dot_path.read_text().splitlines() if re.match(r"  n\d+ \[", line)]
+    assert len(nodes) == 1200
+
+
+@pytest.mark.parametrize("command", ["query", "check"])
+def test_out_of_memory_aborts(capsys, monkeypatch, crime_path, command):
+    """A MemoryError from the reasoning step is reported with the budget exit code."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    target = "probability_query" if command == "query" else "is_consistent"
+    monkeypatch.setattr(cli, target, exhausted)
+    argv = ["query", str(crime_path), QUERY] if command == "query" else ["check", str(crime_path)]
+    assert run(capsys, *argv) == (EXIT_RESOURCE, "", "aborted: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,10 @@ from probalc.kb import (
 )
 from probalc.semantics import probability_bruteforce, probability_query
 from probalc.tableau import (
+    _ATOM,
+    _OR,
     _Graph,
+    CompiledKB,
     Deadline,
     NotEntailedError,
     ResourceLimitError,
@@ -248,15 +251,85 @@ class TestBudgets:
 
 
 # ---------------------------------------------------------------------------
+# The compiled knowledge base
+
+
+def _indices(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _compiled_agrees(kb, query, mask):
+    """One masked call on the compiled KB against the same axioms as a list, traced and untraced."""
+    compiled = CompiledKB(kb.indexed())
+    chosen = _indices(mask)
+    assert entails(compiled, query, mask=mask) == entails(kb.axioms_at(chosen), query)
+    try:
+        expected = trace_entailment(kb.indexed(chosen), query)
+    except NotEntailedError:
+        expected = None
+    try:
+        got = _indices(trace_entailment(compiled, query, mask=mask))
+    except NotEntailedError:
+        got = None
+    assert got == expected
+    return expected is not None
+
+
+class TestCompiledKB:
+    def test_every_mask_of_the_crime_kb(self, crime_kb, crime_query):
+        entailed = [_compiled_agrees(crime_kb, crime_query, mask) for mask in range(1 << len(crime_kb))]
+        assert 0 < sum(entailed) < len(entailed)
+
+    def test_random_masks_of_the_corpus(self):
+        rng = random.Random(2026)
+        entailed = 0
+        for kb, query in fuzz_corpus(2026, 200):
+            for _ in range(20):
+                entailed += _compiled_agrees(kb, query, rng.getrandbits(len(kb)))
+        assert 100 <= entailed <= 3900
+
+    def test_equal_concepts_share_one_id(self):
+        compiled = CompiledKB([])
+        first = compiled.intern(And(A, Exists("r", Or(B, Not(C)))))
+        size = len(compiled.kind)
+        again = compiled.intern(And(Atomic("A"), Exists("r", Or(Atomic("B"), Not(Atomic("C"))))))
+        assert again == first and len(compiled.kind) == size
+        assert compiled.intern(Not(C)) == compiled.comp[compiled.intern(C)]
+
+    def test_complements_of_atoms(self):
+        for kb, _ in fuzz_corpus(2026, 200):
+            compiled = CompiledKB(kb.indexed())
+            atoms = [c for c, kind in enumerate(compiled.kind) if kind == _ATOM]
+            assert atoms
+            for atom in atoms:
+                assert compiled.comp[compiled.comp[atom]] == atom
+                assert compiled.comp[atom] != atom
+
+    def test_interning_a_query_twice_adds_no_ids(self, crime_kb, crime_query):
+        compiled = CompiledKB(crime_kb.indexed())
+        goal = compiled.refutation(crime_query)
+        size = len(compiled.kind)
+        assert compiled.refutation(crime_query) == goal
+        assert compiled.refutation(InstanceQuery("raskolnikov", Atomic("GreatMan"))) == goal
+        assert compiled.intern(crime_query.refutation.normal) == goal[1]
+        assert len(compiled.kind) == size
+
+
+# ---------------------------------------------------------------------------
 # The disjunction agenda against the label scan it replaced
 
 
 def _scan_next_disjunction(graph):
     """Reference: rescan every label for the first unsatisfied disjunction."""
+    kb = graph.run.kb
     for node in range(len(graph.labels)):
         label = graph.labels[node]
         for concept in label:
-            if type(concept) is Or and concept.left not in label and concept.right not in label:
+            if (
+                kb.kind[concept] == _OR
+                and kb.left[concept] not in label
+                and kb.right[concept] not in label
+            ):
                 return node, concept
     return None
 
@@ -273,7 +346,7 @@ def test_agenda_picks_what_the_full_scan_picks(monkeypatch, crime_kb, crime_quer
             picks["none"] += 1
         else:
             node, disjunction = got
-            assert node == expected[0] and disjunction is expected[1]
+            assert node == expected[0] and disjunction == expected[1]
             picks["disjunction"] += 1
             picks["past_satisfied"] += graph.cursors[node] > 0
         return got
