@@ -31,7 +31,6 @@ from .kb import (
     TOP,
     Top,
     nnf,
-    refutation_assertions,
     signature,
 )
 from .parser import ParseError, parse_kb, parse_query, serialize_kb
@@ -108,7 +107,6 @@ __all__ = [
     "probability_bruteforce",
     "probability_query",
     "random_kb",
-    "refutation_assertions",
     "render_formula",
     "satisfies",
     "serialize_kb",

@@ -3,15 +3,16 @@
 Subcommands: ``query`` answers a probabilistic query against a KB file,
 ``gen`` prints a generated KB, ``bench`` runs the chain scaling table and
 ``check`` tests consistency.  Exit codes: 0 on success, 1 on a parse
-error (concept text nested too deeply for the parser's stack included),
-2 when a timeout or budget is exhausted or the reasoner runs out of
-Python stack or memory.
+error, 2 when a timeout or budget is exhausted or the reasoner runs out
+of Python stack or memory.  A reader that closes the output early (as
+``| head -1`` does) ends the run quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -88,11 +89,6 @@ def _print_parse_error(error: ParseError) -> None:
     print(f"parse error at {error.line}:{error.column}: {error.message}", file=sys.stderr)
 
 
-def _print_nesting_error() -> None:
-    # The recursive-descent parser ran out of Python stack.
-    print("parse error: concept nesting too deep", file=sys.stderr)
-
-
 def _print_out_of_memory() -> None:
     # str(MemoryError()) is empty, so the message names the cause itself.
     print("aborted: out of memory", file=sys.stderr)
@@ -113,9 +109,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         query = parse_query(args.query)
     except ParseError as error:
         _print_parse_error(error)
-        return EXIT_PARSE
-    except RecursionError:
-        _print_nesting_error()
         return EXIT_PARSE
     except OSError as error:
         print(f"cannot read {args.kb}: {error.strerror or error}", file=sys.stderr)
@@ -220,9 +213,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ParseError as error:
         _print_parse_error(error)
         return EXIT_PARSE
-    except RecursionError:
-        _print_nesting_error()
-        return EXIT_PARSE
     except OSError as error:
         print(f"cannot read {args.kb}: {error.strerror or error}", file=sys.stderr)
         return EXIT_PARSE
@@ -250,7 +240,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Send the rest of stdout to devnull, so the
+        # flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ def _expand(session: _Session, mask: int) -> int:
     names with the query), one final wave adds everything left.  The
     caller has already checked that ``mask`` entails the query.
     """
-    reached = set(signature(session.query.refutation))
+    reached = set(signature(session.query))
     remaining = {i: signature(session.kb.axiom(i)) for i in _bits(mask)}
     working = 0
     while True:

@@ -9,19 +9,15 @@ probabilistic view preserves list order as well: the i-th annotated axiom
 in list order is "ordinal" i, which doubles as the diagram variable order.
 
 Everything here is immutable after construction and safe to share across
-concurrent readers.  Axioms and queries memoise their tableau form on first
-use; the memo is a pure function of the fields, so the model stays logically
-immutable, and it is freed with its axiom instead of held process-wide.
-Concepts memoise their structural hash the same way (an atomic concept also
-its complement).  The tableau no longer hashes concepts: it interns them as
-ints once per query (``tableau.CompiledKB``).
-The hash memo stays out of equality, ``repr``, ``dataclasses.replace`` and
-pickles.
+concurrent readers.  The model is plain data: what the reasoner makes of
+an axiom or a query (negation normal form included) is decided where it
+compiles them, in ``tableau.CompiledKB``.  ``nnf`` stays here as the
+reference normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -35,78 +31,46 @@ class Concept:
 
     __slots__ = ()
 
-    def __reduce__(self):
-        # Pickle the fields alone: a memoised hash holds only in the process
-        # that computed it, since string hashes are salted per process.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-def _concept(cls):
-    """Make ``cls`` a frozen dataclass that memoises its structural hash.
-
-    The generated hash of a frozen dataclass hashes the whole subtree on
-    every call.  The memo holds the generated value, so hashes, equality and
-    ``repr`` stay exactly those of the plain dataclass.
-    """
-    cls = dataclass(frozen=True)(cls)
-    structural = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = structural(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_concept
+@dataclass(frozen=True)
 class Atomic(Concept):
     name: str
 
-    @cached_property
-    def complement(self) -> "Not":
-        """``not self``, built once."""
-        return Not(self)
 
-
-@_concept
+@dataclass(frozen=True)
 class Top(Concept):
     pass
 
 
-@_concept
+@dataclass(frozen=True)
 class Bottom(Concept):
     pass
 
 
-@_concept
+@dataclass(frozen=True)
 class Not(Concept):
     arg: Concept
 
 
-@_concept
+@dataclass(frozen=True)
 class And(Concept):
     left: Concept
     right: Concept
 
 
-@_concept
+@dataclass(frozen=True)
 class Or(Concept):
     left: Concept
     right: Concept
 
 
-@_concept
+@dataclass(frozen=True)
 class Exists(Concept):
     role: str
     filler: Concept
 
 
-@_concept
+@dataclass(frozen=True)
 class Forall(Concept):
     role: str
     filler: Concept
@@ -131,11 +95,6 @@ class SubClassOf(Axiom):
     sub: Concept
     sup: Concept
 
-    @cached_property
-    def constraint(self) -> Concept:
-        """The internalised form ``not sub or sup``, in negation normal form."""
-        return nnf(Or(Not(self.sub), self.sup))
-
 
 @dataclass(frozen=True)
 class ConceptAssertion(Axiom):
@@ -145,11 +104,6 @@ class ConceptAssertion(Axiom):
     def __post_init__(self) -> None:
         if not self.individual:
             raise ValueError("individual name must be non-empty")
-
-    @cached_property
-    def normal(self) -> Concept:
-        """The asserted concept in negation normal form."""
-        return nnf(self.concept)
 
 
 @dataclass(frozen=True)
@@ -197,11 +151,6 @@ class InstanceQuery:
     individual: str
     concept: Concept
 
-    @cached_property
-    def refutation(self) -> ConceptAssertion:
-        """The counter-assertion ``individual : not concept``, in negation normal form."""
-        return ConceptAssertion(self.individual, nnf(Not(self.concept)))
-
 
 @dataclass(frozen=True)
 class SubsumptionQuery:
@@ -209,11 +158,6 @@ class SubsumptionQuery:
 
     sub: Concept
     sup: Concept
-
-    @cached_property
-    def refutation(self) -> ConceptAssertion:
-        """A fresh individual in ``sub and not sup``, in negation normal form."""
-        return ConceptAssertion(FRESH_INDIVIDUAL, nnf(And(self.sub, Not(self.sup))))
 
 
 Query = Union[InstanceQuery, SubsumptionQuery]
@@ -336,27 +280,6 @@ def _nnf_not(c: Concept) -> Concept:
 
 
 # ---------------------------------------------------------------------------
-# Entailment by refutation
-
-
-def refutation_assertions(q: Query) -> tuple[list[Axiom], list[str]]:
-    """Assertions whose addition makes the KB inconsistent iff it entails ``q``.
-
-    Instance queries negate the asserted concept; subsumption queries
-    assert a fresh individual inside ``sub and not sup``.  Returns the
-    assertions together with the fresh individuals they introduce.  The
-    assertion is the query's memoised ``refutation``, which the reasoner
-    reads directly, so the thousands of reasoner calls of one query build
-    and normalise it once.
-    """
-    if isinstance(q, InstanceQuery):
-        return [q.refutation], []
-    if isinstance(q, SubsumptionQuery):
-        return [q.refutation], [FRESH_INDIVIDUAL]
-    raise TypeError(f"not a query: {q!r}")
-
-
-# ---------------------------------------------------------------------------
 # Syntactic signatures
 
 
@@ -379,22 +302,30 @@ def vocabulary(axiom: Axiom) -> tuple[frozenset[str], frozenset[str], frozenset[
     return frozenset(concepts), frozenset(roles), frozenset(individuals)
 
 
-def signature(axiom: Axiom) -> frozenset[str]:
-    """All names syntactically occurring in the axiom, kinds merged."""
-    concepts, roles, individuals = vocabulary(axiom)
+def signature(item: Axiom | Query) -> frozenset[str]:
+    """All names syntactically occurring in an axiom or a query, kinds merged."""
+    if isinstance(item, InstanceQuery):
+        item = ConceptAssertion(item.individual, item.concept)
+    elif isinstance(item, SubsumptionQuery):
+        item = SubClassOf(item.sub, item.sup)
+    concepts, roles, individuals = vocabulary(item)
     return concepts | roles | individuals
 
 
 def _collect(c: Concept, concepts: set[str], roles: set[str]) -> None:
-    t = type(c)
-    if t is Atomic:
-        concepts.add(c.name)
-    elif t is Not:
-        _collect(c.arg, concepts, roles)
-    elif t is And or t is Or:
-        _collect(c.left, concepts, roles)
-        _collect(c.right, concepts, roles)
-    elif t is Exists or t is Forall:
-        roles.add(c.role)
-        _collect(c.filler, concepts, roles)
-    # Top and Bottom contribute nothing
+    """Add the names under ``c``, walking an explicit stack."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        t = type(c)
+        if t is Atomic:
+            concepts.add(c.name)
+        elif t is Not:
+            stack.append(c.arg)
+        elif t is And or t is Or:
+            stack.append(c.right)
+            stack.append(c.left)
+        elif t is Exists or t is Forall:
+            roles.add(c.role)
+            stack.append(c.filler)
+        # Top and Bottom contribute nothing

@@ -18,8 +18,6 @@ the axiom order and therefore the axiom indices.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
-
 from .kb import (
     And,
     AnnotatedAxiom,
@@ -54,15 +52,10 @@ class ParseError(ValueError):
         self.message = message
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
 _KEYWORDS = frozenset({"not", "and", "or", "exists", "forall", "Top", "Bottom"})
 
+# Every character starts a match, the last alternative catching the ones
+# no token starts with, so one ``finditer`` covers the whole text.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -75,115 +68,134 @@ _TOKEN_RE = re.compile(
     | (?P<rparen>\))
     | (?P<comma>,)
     | (?P<dot>\.)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str, line_no: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line_no, pos + 1, f"unexpected character {text[pos]!r}")
+def _tokenize(text: str, line_no: int) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` tuples, a keyword's kind being the keyword.
+
+    Three ``end`` tokens close the list, at the column after the last
+    non-blank character: lookahead reaches two tokens past a position
+    that is at most the first of them.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws":
+            continue
         value = m.group()
-        if kind != "ws":
-            if kind == "name" and value in _KEYWORDS:
+        if kind == "name":
+            if value in _KEYWORDS:
                 kind = value
-            tokens.append(Token(kind, value, line_no, pos + 1))
-        pos = m.end()
-    end_col = len(text.rstrip()) + 1
-    tokens.append(Token("end", "", line_no, end_col))
+        elif kind == "bad":
+            raise ParseError(line_no, m.start() + 1, f"unexpected character {value!r}")
+        tokens.append((kind, value, m.start() + 1))
+    tokens.extend([("end", "", len(text.rstrip()) + 1)] * 3)
     return tokens
 
 
+_QUANTIFIERS = {"exists": Exists, "forall": Forall}
+_CONSTANTS = {"Top": TOP, "Bottom": BOTTOM}
+
+
 class _LineParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, line_no: int):
+        self.tokens = _tokenize(text, line_no)
+        self.line = line_no
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self, ahead: int = 0) -> str:
+        """The kind of the token ``ahead`` places past the position."""
+        return self.tokens[self.pos + ahead][0]
 
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
+    def take(self) -> str:
+        """The text of the current token, moving past it."""
+        self.pos += 1
+        return self.tokens[self.pos - 1][1]
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.column, f"expected {what}")
+    def error(self, message: str, ahead: int = 0) -> ParseError:
+        return ParseError(self.line, self.tokens[self.pos + ahead][2], message)
+
+    def expect(self, kind: str, what: str) -> str:
+        if self.peek() != kind:
+            raise self.error(f"expected {what}")
         return self.take()
-
-    def fail(self, what: str):
-        tok = self.peek()
-        raise ParseError(tok.line, tok.column, f"expected {what}")
 
     # -- concepts ----------------------------------------------------------
 
     def concept(self) -> Concept:
-        parts = [self.conjunction()]
-        while self.peek().kind == "or":
-            self.take()
-            parts.append(self.conjunction())
-        return _fold_right(Or, parts)
+        """``or`` over ``and`` over prefixed primaries, with explicit stacks.
 
-    def conjunction(self) -> Concept:
-        parts = [self.unary()]
-        while self.peek().kind == "and":
+        Each open parenthesis pushes a frame with the disjuncts and
+        conjuncts parsed so far at its level and the prefixes (``not``,
+        quantifiers) waiting for the primary it opens.
+        """
+        frames: list[tuple[list, list, list]] = []
+        disjuncts: list[Concept] = []
+        conjuncts: list[Concept] = []
+        prefixes: list[tuple[type, str | None]] = []
+        while True:
+            kind = self.peek()
+            if kind == "not":
+                self.take()
+                prefixes.append((Not, None))
+                continue
+            if kind in _QUANTIFIERS:
+                self.take()
+                role = self.expect("name", "role name")
+                self.expect("dot", "'.' after role name")
+                prefixes.append((_QUANTIFIERS[kind], role))
+                continue
+            if kind == "lparen":
+                self.take()
+                frames.append((disjuncts, conjuncts, prefixes))
+                disjuncts, conjuncts, prefixes = [], [], []
+                continue
+            if kind == "name":
+                concept = Atomic(self.take())
+            elif kind in _CONSTANTS:
+                self.take()
+                concept = _CONSTANTS[kind]
+            else:
+                raise self.error("expected a concept")
+            # A primary is done: wrap it in its prefixes, then close every
+            # level that the next token ends.
+            while True:
+                for ctor, role in reversed(prefixes):
+                    concept = ctor(concept) if role is None else ctor(role, concept)
+                conjuncts.append(concept)
+                kind = self.peek()
+                if kind == "and":
+                    break
+                disjuncts.append(_fold_right(And, conjuncts))
+                if kind == "or":
+                    conjuncts = []
+                    break
+                concept = _fold_right(Or, disjuncts)
+                if not frames:
+                    return concept
+                self.expect("rparen", "')'")
+                disjuncts, conjuncts, prefixes = frames.pop()
             self.take()
-            parts.append(self.unary())
-        return _fold_right(And, parts)
-
-    def unary(self) -> Concept:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.take()
-            return Not(self.unary())
-        if tok.kind in ("exists", "forall"):
-            self.take()
-            role = self.expect("name", "role name").value
-            self.expect("dot", "'.' after role name")
-            filler = self.unary()
-            return Exists(role, filler) if tok.kind == "exists" else Forall(role, filler)
-        if tok.kind == "Top":
-            self.take()
-            return TOP
-        if tok.kind == "Bottom":
-            self.take()
-            return BOTTOM
-        if tok.kind == "name":
-            return Atomic(self.take().value)
-        if tok.kind == "lparen":
-            self.take()
-            inner = self.concept()
-            self.expect("rparen", "')'")
-            return inner
-        self.fail("a concept")
+            prefixes = []
 
     # -- axioms ------------------------------------------------------------
 
     def axiom(self) -> Axiom:
-        if (
-            self.peek().kind == "lparen"
-            and self.peek(1).kind == "name"
-            and self.peek(2).kind == "comma"
-        ):
+        if self.peek() == "lparen" and self.peek(1) == "name" and self.peek(2) == "comma":
             self.take()
-            subject = self.take().value
+            subject = self.take()
             self.take()
-            obj = self.expect("name", "individual name").value
+            obj = self.expect("name", "individual name")
             self.expect("rparen", "')'")
             self.expect("colon", "':'")
-            role = self.expect("name", "role name").value
+            role = self.expect("name", "role name")
             return RoleAssertion(subject, obj, role)
-        if self.peek().kind == "name" and self.peek(1).kind == "colon":
-            individual = self.take().value
+        if self.peek() == "name" and self.peek(1) == "colon":
+            individual = self.take()
             self.take()
             return ConceptAssertion(individual, self.concept())
         left = self.concept()
@@ -192,9 +204,8 @@ class _LineParser:
         return SubClassOf(left, right)
 
     def end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(tok.line, tok.column, "unexpected trailing input")
+        if self.peek() != "end":
+            raise self.error("unexpected trailing input")
 
 
 def _fold_right(ctor, parts: list[Concept]) -> Concept:
@@ -218,20 +229,19 @@ def parse_kb(text: str) -> KnowledgeBase:
         body = _line_body(raw)
         if not body.strip():
             continue
-        parser = _LineParser(_tokenize(body, line_no))
+        parser = _LineParser(body, line_no)
         probability = None
-        first = parser.peek()
-        if parser.peek(1).kind == "dcolon":
-            if first.kind != "number":
-                raise ParseError(first.line, first.column, "probability must be a number")
+        if parser.peek(1) == "dcolon":
+            if parser.peek() != "number":
+                raise parser.error("probability must be a number")
+            number = parser.take()
             parser.take()
-            parser.take()
-            probability = float(first.value)
+            probability = float(number)
             if not (0.0 <= probability <= 1.0):
-                raise ParseError(first.line, first.column, f"probability {first.value} outside [0, 1]")
-        elif first.kind == "number":
-            tok = parser.peek(1)
-            raise ParseError(tok.line, tok.column, "expected '::' after probability")
+                # At the number, two tokens back.
+                raise parser.error(f"probability {number} outside [0, 1]", -2)
+        elif parser.peek() == "number":
+            raise parser.error("expected '::' after probability", 1)
         axiom = parser.axiom()
         parser.end()
         entries.append(AnnotatedAxiom(axiom, probability))
@@ -243,9 +253,9 @@ def parse_query(text: str) -> Query:
     stripped = _line_body(text)
     if not stripped.strip():
         raise ParseError(1, 1, "empty query")
-    parser = _LineParser(_tokenize(stripped, 1))
-    if parser.peek().kind == "name" and parser.peek(1).kind == "colon":
-        individual = parser.take().value
+    parser = _LineParser(stripped, 1)
+    if parser.peek() == "name" and parser.peek(1) == "colon":
+        individual = parser.take()
         parser.take()
         concept = parser.concept()
         parser.end()
@@ -279,28 +289,45 @@ def _prec(c: Concept) -> int:
 
 
 def render_concept(c: Concept, require: int = 0) -> str:
-    t = type(c)
-    if t is Atomic:
-        text = c.name
-    elif t is Top:
-        text = "Top"
-    elif t is Bottom:
-        text = "Bottom"
-    elif t is Not:
-        text = f"not {render_concept(c.arg, _UNARY)}"
-    elif t is And:
-        text = f"{render_concept(c.left, _UNARY)} and {render_concept(c.right, 2)}"
-    elif t is Or:
-        text = f"{render_concept(c.left, 2)} or {render_concept(c.right, 1)}"
-    elif t is Exists:
-        text = f"exists {c.role}. {render_concept(c.filler, _UNARY)}"
-    elif t is Forall:
-        text = f"forall {c.role}. {render_concept(c.filler, _UNARY)}"
-    else:
-        raise TypeError(f"not a concept: {c!r}")
-    if _prec(c) < require:
-        return f"({text})"
-    return text
+    """Concept text that parses back to ``c``, walking an explicit stack.
+
+    The stack holds ``(concept, required level)`` pairs still to render
+    and the literal text between them, pushed in reverse.
+    """
+    out: list[str] = []
+    stack: list = [(c, require)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        c, require = item
+        t = type(c)
+        if _prec(c) < require:
+            out.append("(")
+            stack.append(")")
+        if t is Atomic:
+            out.append(c.name)
+        elif t is Top:
+            out.append("Top")
+        elif t is Bottom:
+            out.append("Bottom")
+        elif t is Not:
+            out.append("not ")
+            stack.append((c.arg, _UNARY))
+        elif t is And:
+            stack += [(c.right, 2), " and ", (c.left, _UNARY)]
+        elif t is Or:
+            stack += [(c.right, 1), " or ", (c.left, 2)]
+        elif t is Exists:
+            out.append(f"exists {c.role}. ")
+            stack.append((c.filler, _UNARY))
+        elif t is Forall:
+            out.append(f"forall {c.role}. ")
+            stack.append((c.filler, _UNARY))
+        else:
+            raise TypeError(f"not a concept: {c!r}")
+    return "".join(out)
 
 
 def render_axiom(axiom: Axiom) -> str:

@@ -12,9 +12,11 @@ The search runs on a compiled knowledge base (Horrocks & Patel-Schneider,
 this normalisation and encoding).  Every distinct concept of the axioms
 and of the query's refutation is interned once as an int, with per-id
 tables for its kind, children, role and complement, so a label is a dict
-from ints to traces and the clash check is one int lookup.  Axiom ``i``
-owns bit ``1 << i``; one call takes the compiled KB and a bitmask of the
-axioms it may use, and skips every other axiom where it would be used.
+from ints to traces and the clash check is one int lookup.  The walk
+that interns a concept also puts it in negation normal form, so axioms
+and queries are compiled as they were written.  Axiom ``i`` owns bit
+``1 << i``; one call takes the compiled KB and a bitmask of the axioms
+it may use, and skips every other axiom where it would be used.
 A justification search compiles its KB once and asks about thousands of
 masks; the list-of-axioms API compiles its input on every call.
 
@@ -71,12 +73,15 @@ from .kb import (
     Concept,
     ConceptAssertion,
     Exists,
+    FRESH_INDIVIDUAL,
     Forall,
+    InstanceQuery,
     Not,
     Or,
     Query,
     RoleAssertion,
     SubClassOf,
+    SubsumptionQuery,
     Top,
 )
 
@@ -85,10 +90,6 @@ DEFAULT_NODE_BUDGET = 100_000
 # Kinds of interned concepts.  Atoms and negations come first: they are
 # the two kinds whose addition checks for a clash.
 _ATOM, _NOT, _OR, _AND, _FORALL, _EXISTS, _TOP, _BOTTOM = range(8)
-_KIND = {
-    Atomic: _ATOM, Not: _NOT, Or: _OR, And: _AND,
-    Forall: _FORALL, Exists: _EXISTS, Top: _TOP, Bottom: _BOTTOM,
-}
 
 
 class ResourceLimitError(Exception):
@@ -128,10 +129,11 @@ class CompiledKB:
     quantifier, ``right[c]`` the right side of a binary concept, and
     ``role[c]`` a quantifier's role id.  ``comp[c]`` is the id of the
     complement of an atom or the argument of a negation (-1 for the other
-    kinds).  Structurally equal concepts get one id.
+    kinds).  An id stands for a concept in negation normal form, and
+    concepts whose normal forms are structurally equal get one id.
 
     Axiom ``i`` owns bit ``1 << i``.  In ascending index order, ``gcis``
-    holds the internalised inclusions as ``(bit, constraint)``,
+    holds the internalised inclusions as ``(bit, not sub or sup)``,
     ``unfold[c]`` the ``(bit, sup)`` pairs of the absorbed inclusions
     whose left side is atom ``c``, and ``abox`` the assertions as
     ``(bit, subject, object, what)``: for a concept assertion the object
@@ -162,13 +164,12 @@ class CompiledKB:
             t = type(axiom)
             if t is SubClassOf:
                 if type(axiom.sub) is Atomic:
-                    # The constraint is ``not sub or nnf(sup)``.
                     sub = self.intern(axiom.sub)
-                    self.unfold[sub].append((bit, self.intern(axiom.constraint.right)))
+                    self.unfold[sub].append((bit, self.intern(axiom.sup)))
                 else:
-                    self.gcis.append((bit, self.intern(axiom.constraint)))
+                    self.gcis.append((bit, self.intern(Or(Not(axiom.sub), axiom.sup))))
             elif t is ConceptAssertion:
-                self.abox.append((bit, self.name(axiom.individual), -1, self.intern(axiom.normal)))
+                self.abox.append((bit, self.name(axiom.individual), -1, self.intern(axiom.concept)))
             elif t is RoleAssertion:
                 self.abox.append(
                     (bit, self.name(axiom.subject), self.name(axiom.object), self.name(axiom.role))
@@ -181,33 +182,56 @@ class CompiledKB:
         return self._names.setdefault(text, len(self._names))
 
     def intern(self, concept: Concept) -> int:
-        """The id of ``concept``, allocating ids for it and its parts if new.
+        """The id of ``nnf(concept)``, allocating ids for it and its parts if new.
 
-        Ids are hash-consed bottom-up on ``(kind, left, right, role)`` (an
-        atom on its name), so no concept tree is hashed.  An atom and its
-        negation are interned together, each the other's complement.
+        The concept is normalised while it is walked, with an explicit
+        stack whose entries carry a polarity: ``Not`` flips it, and under
+        negation And and Or, Exists and Forall, and Top and Bottom swap,
+        and an atom stands for its complement.  A binary concept or a
+        quantifier waits on the stack as ``(kind, role)`` until its
+        children's ids are done.  Ids are hash-consed bottom-up on
+        ``(kind, left, right, role)`` (an atom on its name), so no concept
+        tree is hashed.  An atom and its negation are interned together,
+        each the other's complement.
         """
-        t = type(concept)
-        if t is Atomic:
-            atom = self._ids.get(concept.name)
-            if atom is None:
-                atom = self._new(concept.name, _ATOM, -1, -1, -1)
-                self.comp[atom] = self._new((_NOT, atom, -1, -1), _NOT, atom, -1, -1)
-            return atom
-        left = right = role = -1
-        if t is Not:
-            left = self.intern(concept.arg)
-            if self.kind[left] == _ATOM:
-                return self.comp[left]
-        elif t is And or t is Or:
-            left = self.intern(concept.left)
-            right = self.intern(concept.right)
-        elif t is Exists or t is Forall:
-            left = self.intern(concept.filler)
-            role = self.name(concept.role)
-        key = (_KIND[t], left, right, role)
-        found = self._ids.get(key)
-        return found if found is not None else self._new(key, *key)
+        done: list[int] = []
+        stack: list = [(concept, True)]
+        while stack:
+            item, arg = stack.pop()
+            t = type(item)
+            if t is int:
+                # Build a kind whose children are done; ``arg`` is its role.
+                if arg < 0:
+                    right = done.pop()
+                    key = (item, done.pop(), right, -1)
+                else:
+                    key = (item, done.pop(), -1, arg)
+            elif t is Atomic:
+                atom = self._ids.get(item.name)
+                if atom is None:
+                    atom = self._new(item.name, _ATOM, -1, -1, -1)
+                    self.comp[atom] = self._new((_NOT, atom, -1, -1), _NOT, atom, -1, -1)
+                done.append(atom if arg else self.comp[atom])
+                continue
+            elif t is Not:
+                stack.append((item.arg, not arg))
+                continue
+            elif t is And or t is Or:
+                stack.append((_AND if (t is And) == arg else _OR, -1))
+                stack.append((item.right, arg))
+                stack.append((item.left, arg))
+                continue
+            elif t is Exists or t is Forall:
+                stack.append((_EXISTS if (t is Exists) == arg else _FORALL, self.name(item.role)))
+                stack.append((item.filler, arg))
+                continue
+            elif t is Top or t is Bottom:
+                key = (_TOP if (t is Top) == arg else _BOTTOM, -1, -1, -1)
+            else:
+                raise TypeError(f"not a concept: {item!r}")
+            found = self._ids.get(key)
+            done.append(found if found is not None else self._new(key, *key))
+        return done[0]
 
     def _new(self, key, kind: int, left: int, right: int, role: int) -> int:
         concept_id = len(self.kind)
@@ -221,10 +245,19 @@ class CompiledKB:
         return concept_id
 
     def refutation(self, query: Query) -> tuple[int, int]:
-        """The query's counter-assertion as (individual id, concept id)."""
+        """The query's counter-assertion as (individual id, concept id).
+
+        An instance query asserts the complement of its concept; a
+        subsumption query asserts ``sub and not sup`` of a fresh individual.
+        """
         if query is not self._query:
-            assertion = query.refutation
-            self._goal = (self.name(assertion.individual), self.intern(assertion.normal))
+            if isinstance(query, InstanceQuery):
+                goal = (self.name(query.individual), self.intern(Not(query.concept)))
+            elif isinstance(query, SubsumptionQuery):
+                goal = (self.name(FRESH_INDIVIDUAL), self.intern(And(query.sub, Not(query.sup))))
+            else:
+                raise TypeError(f"not a query: {query!r}")
+            self._goal = goal
             self._query = query
         return self._goal
 

@@ -15,7 +15,8 @@ import pytest
 import probalc
 from probalc import cli
 from probalc.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
-from probalc.parser import parse_kb
+from probalc.generators import generate_synthetic
+from probalc.parser import parse_kb, serialize_kb
 
 from conftest import CRIME_TEXT
 
@@ -329,8 +330,8 @@ DEEP_PARENS = "a : " + "(" * 2000 + "A" + ")" * 2000 + "\n"
 
 @pytest.mark.parametrize("text", [DEEP_NOT, DEEP_PARENS], ids=["not", "parens"])
 @pytest.mark.parametrize("place", ["query-kb", "query-text", "check"])
-def test_deep_nesting_is_a_parse_error(capsys, tmp_path, crime_path, place, text):
-    """2,000 nested concepts exhaust the parser's stack: a parse error, not a traceback."""
+def test_deep_nesting_answers(capsys, tmp_path, crime_path, place, text):
+    """2,000 nested concepts parse and answer: no walk recurses per level."""
     path = tmp_path / "deep.kb"
     path.write_text(text)
     argv = {
@@ -339,8 +340,81 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path, crime_path, place, text
         "check": ["check", str(path)],
     }[place]
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (EXIT_PARSE, "")
-    assert err == "parse error: concept nesting too deep\n"
+    assert (code, err) == (EXIT_OK, "")
+    expected = {
+        "query-kb": "probability: 1\n",
+        "query-text": "probability: 0\n",
+        "check": "consistent\n",
+    }[place]
+    assert out.startswith(expected)
+
+
+TERMS = [f"A{i}" for i in range(1500)]
+
+
+@pytest.mark.parametrize("operator", ["and", "or"])
+class TestFlatConcepts:
+    """1,500 terms of one operator, a right-nested chain 1,500 levels deep."""
+
+    @pytest.fixture
+    def flat_path(self, tmp_path, operator):
+        path = tmp_path / "flat.kb"
+        path.write_text(f"a : {f' {operator} '.join(TERMS)}\n0.5 :: a : C\n")
+        return path
+
+    @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
+    def test_query(self, capsys, flat_path, method):
+        code, out, err = run(capsys, "query", str(flat_path), "a : C", "--method", method)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("probability: 0.5\n")
+        code, out, err = run(capsys, "query", str(flat_path), "a : C", "--method", method, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert (payload["probability"], payload["justifications"]) == (0.5, [[1]])
+
+    @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
+    def test_justification_lines(self, capsys, flat_path, operator, method):
+        """Axiom 1 is printed whole when it entails the query."""
+        code, out, err = run(capsys, "query", str(flat_path), "a : A7", "--method", method)
+        assert (code, err) == (EXIT_OK, "")
+        if operator == "and":
+            assert out.startswith("probability: 1\n")
+            assert f"axiom 1: a : {' and '.join(TERMS)}\n" in out
+        else:
+            assert out.startswith("probability: 0\n")
+
+    def test_check(self, capsys, flat_path):
+        assert run(capsys, "check", str(flat_path)) == (EXIT_OK, "consistent\n", "")
+
+    def test_query_text(self, capsys, crime_path, operator):
+        text = f"a : {f' {operator} '.join(TERMS)}"
+        code, out, err = run(capsys, "query", str(crime_path), text, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["probability"] == 0.0
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    """A reader that leaves after the first line gets no traceback on stderr.
+
+    The chain n=8 query prints ~160 KB, more than a pipe holds, so the
+    writes after the reader closes fail with ``BrokenPipeError``.
+    """
+    path = tmp_path / "chain.kb"
+    path.write_text(serialize_kb(generate_synthetic(8)))
+    package_root = Path(probalc.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "probalc.cli", "query", str(path), "B0 <= B8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    first = process.stdout.readline()
+    process.stdout.close()
+    err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=120) == EXIT_OK
+    assert first.startswith(b"probability: ")
+    assert err == b""
 
 
 class TestEntrypoint:

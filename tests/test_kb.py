@@ -1,13 +1,9 @@
-"""Core model: normal forms, refutation assertions, signatures, indexing."""
+"""Core model: normal forms, refutations, signatures, indexing."""
 
 from __future__ import annotations
 
 import dataclasses
 import gc
-import os
-import pickle
-import subprocess
-import sys
 import weakref
 from pathlib import Path
 
@@ -35,15 +31,13 @@ from probalc.kb import (
     TOP,
     Top,
     nnf,
-    refutation_assertions,
     signature,
     vocabulary,
 )
-import probalc
 from probalc.generators import random_kb
 from probalc.parser import parse_kb, parse_query
 from probalc.semantics import probability_query
-from probalc.tableau import entails, is_consistent, trace_entailment
+from probalc.tableau import _AND, CompiledKB, entails, is_consistent, trace_entailment
 
 SAMPLE_KB = Path(__file__).resolve().parent.parent / "samples" / "crime.kb"
 
@@ -123,29 +117,41 @@ class TestNnf:
         normalized = entails(axioms, InstanceQuery("a", nnf(c)))
         assert plain == normalized
 
+    @given(concepts(max_depth=5))
+    def test_interning_normalises(self, c):
+        """The compiler's normal form is ``nnf``'s, negated or not."""
+        compiled = CompiledKB([])
+        assert compiled.intern(c) == compiled.intern(nnf(c))
+        assert compiled.intern(Not(c)) == compiled.intern(nnf(Not(c)))
+
 
 class TestRefutationAssertions:
+    """The counter-assertion the compiled KB asserts for a query."""
+
     def test_instance_query_negates_the_concept(self):
-        assertions, fresh = refutation_assertions(InstanceQuery("a", Not(A)))
-        assert assertions == [ConceptAssertion("a", A)]
-        assert fresh == []
+        compiled = CompiledKB([])
+        goal = compiled.refutation(InstanceQuery("a", Not(A)))
+        assert goal == (compiled.name("a"), compiled.intern(A))
 
     def test_subsumption_query_asserts_a_fresh_witness(self):
-        assertions, fresh = refutation_assertions(SubsumptionQuery(Atomic("B0"), Atomic("B1")))
-        assert assertions == [
-            ConceptAssertion(FRESH_INDIVIDUAL, And(Atomic("B0"), Not(Atomic("B1"))))
-        ]
-        assert fresh == [FRESH_INDIVIDUAL]
+        compiled = CompiledKB([])
+        individual, concept = compiled.refutation(SubsumptionQuery(Atomic("B0"), Atomic("B1")))
+        assert individual == compiled.name(FRESH_INDIVIDUAL)
+        assert concept == compiled.intern(And(Atomic("B0"), Not(Atomic("B1"))))
+        assert compiled.kind[concept] == _AND
+        assert compiled.left[concept] == compiled.intern(Atomic("B0"))
+        assert compiled.right[concept] == compiled.comp[compiled.intern(Atomic("B1"))]
 
     @pytest.mark.parametrize(
         "query", [InstanceQuery("a", Not(A)), SubsumptionQuery(Atomic("B0"), Atomic("B1"))]
     )
     def test_built_once_per_query(self, query):
-        """Every reasoner call of a query shares one normalised assertion."""
-        (first,), _ = refutation_assertions(query)
-        (again,), _ = refutation_assertions(query)
-        assert again is first
-        assert again.normal is first.normal
+        """Every reasoner call of a query shares one compiled counter-assertion."""
+        compiled = CompiledKB([])
+        first = compiled.refutation(query)
+        sizes = len(compiled.kind), len(compiled._names)
+        assert compiled.refutation(query) == first
+        assert (len(compiled.kind), len(compiled._names)) == sizes
 
     def test_fresh_name_cannot_be_parsed_into_a_kb(self):
         assert FRESH_INDIVIDUAL.startswith("@")
@@ -169,6 +175,19 @@ class TestSignature:
 
     def test_top_and_bottom_contribute_nothing(self):
         assert signature(SubClassOf(TOP, BOTTOM)) == frozenset()
+
+    def test_query_signature(self):
+        assert signature(InstanceQuery("a", Exists("r", Not(A)))) == {"a", "r", "A"}
+        assert signature(SubsumptionQuery(And(A, TOP), Forall("r", B))) == {"A", "B", "r"}
+
+    def test_deep_concepts(self):
+        """The walk keeps its own stack, so depth costs no Python frames."""
+        deep = A
+        for i in range(5000):
+            deep = Exists(f"r{i % 3}", Not(And(Atomic(f"A{i % 7}"), deep)))
+        names, roles, _ = vocabulary(ConceptAssertion("a", deep))
+        assert names == {"A"} | {f"A{i}" for i in range(7)}
+        assert roles == {"r0", "r1", "r2"}
 
 
 class TestAnnotatedAxiom:
@@ -234,69 +253,20 @@ class TestKnowledgeBase:
         assert [ref() for ref in refs] == [None] * 6
 
 
-def rebuilt(c: Concept) -> Concept:
-    """A structurally equal copy of ``c`` that shares no concept object with it."""
-    values = [getattr(c, f.name) for f in dataclasses.fields(c)]
-    return type(c)(*(rebuilt(v) if isinstance(v, Concept) else v for v in values))
-
-
 class TestConceptHash:
-    """Concepts memoise their hash; nothing else may notice."""
-
-    @given(concepts())
-    def test_equal_concepts_hash_alike_before_and_after_the_memo(self, c):
-        first, second = rebuilt(c), rebuilt(c)
-        assert first == second and first is not second
-        computed = hash(first)
-        assert hash(first) == computed == hash(second) == hash(second)
-        assert {first: "found"}[rebuilt(c)] == "found"
-        assert {rebuilt(c): "found"}[first] == "found"
-
-    def test_hash_is_the_plain_dataclass_hash(self):
-        """The memo holds the generated value, so set and dict orders stay put."""
-        assert hash(A) == hash(("A",))
-        assert hash(TOP) == hash(())
-        assert hash(Not(A)) == hash((A,))
-        assert hash(And(A, Or(B, C))) == hash((A, Or(B, C))) == hash((A, (B, C)))
-        assert hash(Exists("r", B)) == hash(("r", B))
+    """Concepts are plain frozen dataclasses."""
 
     def test_repr_and_replace_are_unchanged(self):
         c = And(A, Exists("r", Not(B)))
         expected = "And(left=Atomic(name='A'), right=Exists(role='r', filler=Not(arg=Atomic(name='B'))))"
         assert repr(c) == expected
         hash(c)
-        assert A.complement == Not(A) and A.complement is A.complement
         assert repr(c) == expected
         assert repr(A) == "Atomic(name='A')"
         swapped = dataclasses.replace(c, left=C)
         assert swapped == And(C, c.right) and repr(swapped) == repr(And(C, c.right))
-        assert hash(swapped) == hash(rebuilt(swapped))
         assert dataclasses.replace(c) == c
         assert [f.name for f in dataclasses.fields(c)] == ["left", "right"]
-
-    def test_unpickled_in_a_process_with_another_hash_seed(self):
-        """String hashes are salted per process, so no memo may travel in a pickle."""
-        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-        script = (
-            "import pickle, sys\n"
-            "from probalc.kb import And, Atomic, Exists, Not, Or\n"
-            "c = Or(And(Atomic('Alpha'), Exists('r', Not(Atomic('Beta')))), Atomic('Gamma'))\n"
-            "hash(c), Atomic('Gamma').complement\n"
-            "sys.stdout.buffer.write(pickle.dumps([c, c.right, c.right.complement]))\n"
-        )
-        package_root = Path(probalc.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(package_root)}
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, env=env, timeout=60, check=True
-        )
-        loaded, gamma, not_gamma = pickle.loads(result.stdout)
-        expected = Or(And(Atomic("Alpha"), Exists("r", Not(Atomic("Beta")))), Atomic("Gamma"))
-        assert loaded == expected
-        assert {expected: "found"}[loaded] == "found"
-        assert {loaded: "found"}[expected] == "found"
-        assert {Not(Atomic("Gamma")): "found"}[not_gamma] == "found"
-        assert {Atomic("Gamma"): "found"}[gamma] == "found"
-        assert {Not(Atomic("Gamma")): "found"}[gamma.complement] == "found"
 
     def test_clash_between_separately_built_atoms(self):
         """``A`` and ``not A`` from different axioms are distinct objects and still clash."""

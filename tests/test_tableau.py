@@ -311,7 +311,7 @@ class TestCompiledKB:
         size = len(compiled.kind)
         assert compiled.refutation(crime_query) == goal
         assert compiled.refutation(InstanceQuery("raskolnikov", Atomic("GreatMan"))) == goal
-        assert compiled.intern(crime_query.refutation.normal) == goal[1]
+        assert compiled.intern(Not(crime_query.concept)) == goal[1]
         assert len(compiled.kind) == size
 
 
