@@ -19,7 +19,7 @@ from pathlib import Path
 from .generators import chain_query, generate_synthetic, random_kb
 from .justify import CoveringSet
 from .parser import ParseError, parse_kb, parse_query, render_annotated, serialize_kb
-from .pinpoint import formula_from_justifications, render_formula
+from .pinpoint import render_formula
 from .bdd import BddManager
 from .semantics import (
     RunConfig,

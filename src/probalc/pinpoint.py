@@ -15,7 +15,7 @@ formula's terms as bitmasks of ordinals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection
 
 from .kb import KnowledgeBase
 

@@ -25,7 +25,7 @@ from .bdd import BddManager
 from .justify import CoveringSet, all_justifications, DEFAULT_HST_BUDGET
 from .kb import KnowledgeBase, Query
 from .pinpoint import Formula, formula_from_justifications
-from .tableau import DEFAULT_NODE_BUDGET, Deadline, ResourceLimitError, entails
+from .tableau import DEFAULT_NODE_BUDGET, Deadline, entails
 
 DEFAULT_WORLD_LIMIT = 20
 

@@ -45,12 +45,12 @@ explored branch is an axiom set that still entails the query (usually a
 non-minimal one).
 
 Roles have no inverses, so the subtree below a fresh existential witness
-never constrains the rest of the graph.  Each witness is therefore solved
-in isolation by a recursive call instead of being woven into the global
-branch tree, which keeps memory and branching linear in the depth.  It
-follows that role assertions are the only edges of a graph: the ABox is
-the initial completion graph, its edges are fixed before the search
-starts, and a branch copies only the labels.  The
+never constrains the rest of the graph.  Each witness is therefore
+searched as a graph of its own, after the branch that made it, instead
+of being woven into the global branch tree.  It follows that role
+assertions are the only edges of a graph: the ABox is the initial
+completion graph, its edges are fixed before the search starts, and a
+branch copies only the labels.  The
 roots of all pending witnesses of a branch are built before any subtree
 is searched, and a root that clashes as built closes the branch at once:
 searching a satisfiable sibling's subtree first can cost more than the
@@ -58,6 +58,16 @@ whole rest of the refutation.  Termination relies on ancestor
 subset-blocking: an existential is never expanded on a node whose label
 is included in an ancestor's label.  A node budget and an optional
 cooperative deadline bound runaway inputs.
+
+One loop runs the whole search over one explicit stack of open branch
+points and pending witnesses, as Horrocks & Patel-Schneider keep their
+branch points, so no input depth reaches the Python stack.  A branch
+point keeps its graph and its remaining side: the first side runs on a
+copy and the last on the graph itself.  An open branch goes on with the
+next pending witness, and a branch point reached first is satisfied and
+dropped.  A clash pops back to the last open branch point, dropping the
+witnesses above it; a branch point with no side left closes with the
+union of its sides' clash traces.
 """
 
 from __future__ import annotations
@@ -269,14 +279,13 @@ class _Run:
     traced call and 0 otherwise, so ``bit & seen`` is an axiom's trace.
     """
 
-    __slots__ = ("kb", "mask", "seen", "node_budget", "deadline", "nodes_created")
+    __slots__ = ("kb", "mask", "seen", "node_budget", "nodes_created")
 
-    def __init__(self, kb: CompiledKB, mask: int, seen: int, node_budget: int, deadline: Deadline | None):
+    def __init__(self, kb: CompiledKB, mask: int, seen: int, node_budget: int):
         self.kb = kb
         self.mask = mask
         self.seen = seen
         self.node_budget = node_budget
-        self.deadline = deadline
         self.nodes_created = 0
 
     def charge_node(self) -> None:
@@ -296,8 +305,9 @@ class _Graph:
     ``disjunctions[n]`` lists the disjunctions of that label in the same
     order, and every one before ``cursors[n]`` is satisfied.  ``edges``
     maps ``(node, role)`` to the successors and their traces; it is fixed
-    before the search and shared by every branch.  Branching copies the
-    labels and the agenda, so rule applications never need undoing.
+    before the search and shared by every branch.  The first side of a
+    branch runs on a copy of the labels and the agenda and the last on the
+    graph itself, so rule applications never need undoing.
     """
 
     __slots__ = ("run", "labels", "disjunctions", "cursors", "edges", "clash")
@@ -413,71 +423,6 @@ class _Graph:
         return None
 
 
-def _solve(graph: _Graph, ancestors: tuple[frozenset, ...]) -> int | None:
-    """Search this branch; None means a clash-free completion exists.
-
-    ``ancestors`` holds the label key sets on the witness chain above this
-    graph, for blocking.  A closed search returns the union of one clash
-    trace per explored branch, the traced entailment certificate.
-    """
-    run = graph.run
-    if graph.clash is not None:
-        return graph.clash
-    if run.deadline is not None:
-        run.deadline.check()
-    kb = run.kb
-    pick = graph.next_disjunction()
-    if pick is not None:
-        node, disjunction = pick
-        trace = graph.labels[node][disjunction]
-        left, right = kb.left[disjunction], kb.right[disjunction]
-        sides = (left,) if left == right else (left, right)
-        closed = 0
-        for side in sides:
-            branch = graph.copy()
-            branch.add(node, side, trace)
-            result = _solve(branch, ancestors)
-            if result is None:
-                return None
-            closed |= result
-        return closed
-    # No disjunction is pending, so every label is final: generate the
-    # witnesses, each existential solved in its own subtree.  All roots are
-    # built first, so that one that clashes outright closes the branch
-    # before any subtree is searched.
-    kind, filler_of, role_of = kb.kind, kb.left, kb.role
-    pending: list[tuple[_Graph, tuple[frozenset, ...]]] = []
-    for node in range(len(graph.labels)):
-        label = graph.labels[node]
-        above: tuple[frozenset, ...] | None = None
-        for concept in label:
-            if kind[concept] != _EXISTS:
-                continue
-            role, filler = role_of[concept], filler_of[concept]
-            edges = graph.edges.get((node, role), ())
-            if any(filler in graph.labels[s] for s in edges):
-                continue
-            if above is None:
-                if any(label.keys() <= keys for keys in ancestors):
-                    break
-                above = ancestors + (frozenset(label.keys()),)
-            trace = label[concept]
-            witness = _Graph(run, {})
-            root = witness.new_node()
-            witness.add(root, filler, trace)
-            for other, other_trace in label.items():
-                if kind[other] == _FORALL and role_of[other] == role:
-                    witness.add(root, filler_of[other], other_trace | trace)
-            if witness.clash is not None:
-                return witness.clash
-            pending.append((witness, above))
-    for witness, above in pending:
-        result = _solve(witness, above)
-        if result is not None:
-            return result
-    return None
-
-
 def _refute(
     kb: CompiledKB,
     mask: int,
@@ -489,8 +434,8 @@ def _refute(
     """Run the tableau on the axioms of ``kb`` in ``mask`` plus the goal assertion.
 
     Returns None when a clash-free completion graph exists (the axiom set
-    is consistent) and the union of branch clash traces otherwise, a
-    bitmask that is 0 when not ``traced``.
+    is consistent) and the union of one clash trace per explored branch
+    otherwise, a bitmask that is 0 when not ``traced``.
     """
     seen = mask if traced else 0
     # Each individual gets a node at its first mention; a repeated role
@@ -509,14 +454,95 @@ def _refute(
     if goal is not None:
         individual, concept = goal
         asserted.append((nodes.setdefault(individual, len(nodes)), concept, 0))
-    graph = _Graph(_Run(kb, mask, seen, node_budget, deadline), edges)
+    graph = _Graph(_Run(kb, mask, seen, node_budget), edges)
     # The domain is never empty: without individuals, a single anonymous
     # element must still satisfy every inclusion axiom.
     for _ in range(len(nodes) or 1):
         graph.new_node()
     for node, concept, trace in asserted:
         graph.add(node, concept, trace)
-    return _solve(graph, ())
+    kind, left, right, role_of = kb.kind, kb.left, kb.right, kb.role
+    # ``graph`` is the branch being searched and ``ancestors`` the label key
+    # sets of its witness chain, for blocking.  The stack holds pending
+    # witnesses as ``(graph, ancestors)`` tuples and open branch points as
+    # ``[graph, node, side, trace, closed, ancestors]`` lists, where
+    # ``side`` is the one still to run (-1 once none is left) and
+    # ``closed`` the union of the clash traces of the sides that ran.
+    ancestors: tuple[frozenset, ...] = ()
+    stack: list = []
+    while True:
+        closed = graph.clash
+        if closed is None:
+            if deadline is not None:
+                deadline.check()
+            pick = graph.next_disjunction()
+            if pick is not None:
+                node, disjunction = pick
+                trace = graph.labels[node][disjunction]
+                side = left[disjunction]
+                if side != right[disjunction]:
+                    stack.append([graph, node, right[disjunction], trace, 0, ancestors])
+                    graph = graph.copy()
+                graph.add(node, side, trace)
+                continue
+            # No disjunction is pending, so every label is final: build the
+            # roots of all witnesses first, so that one that clashes outright
+            # closes the branch before any subtree is searched.
+            pending = []
+            for node in range(len(graph.labels)):
+                label = graph.labels[node]
+                above: tuple[frozenset, ...] | None = None
+                for concept in label:
+                    if kind[concept] != _EXISTS:
+                        continue
+                    role, filler = role_of[concept], left[concept]
+                    edges = graph.edges.get((node, role), ())
+                    if any(filler in graph.labels[s] for s in edges):
+                        continue
+                    if above is None:
+                        if any(label.keys() <= keys for keys in ancestors):
+                            break
+                        above = ancestors + (frozenset(label.keys()),)
+                    trace = label[concept]
+                    witness = _Graph(graph.run, {})
+                    root = witness.new_node()
+                    witness.add(root, filler, trace)
+                    for other, other_trace in label.items():
+                        if kind[other] == _FORALL and role_of[other] == role:
+                            witness.add(root, left[other], other_trace | trace)
+                    closed = witness.clash
+                    if closed is not None:
+                        break
+                    pending.append((witness, above))
+                if closed is not None:
+                    break
+            else:
+                # The branch is open: go on with the next pending witness.
+                # A branch point reached first is satisfied by this branch.
+                stack.extend(reversed(pending))
+                while stack and type(stack[-1]) is list:
+                    stack.pop()
+                if not stack:
+                    return None
+                graph, ancestors = stack.pop()
+                continue
+        # A clash closes the branch: pop back to the last open branch point,
+        # dropping the witnesses above it, and run its last side on its own
+        # graph.  One with no side left closes with the union of its sides.
+        while stack:
+            entry = stack.pop()
+            if type(entry) is list:
+                entry[4] |= closed
+                if entry[2] < 0:
+                    closed = entry[4]
+                    continue
+                graph, node, side, trace, _, ancestors = entry
+                entry[2] = -1
+                stack.append(entry)
+                graph.add(node, side, trace)
+                break
+        else:
+            return closed
 
 
 def is_consistent(

@@ -268,36 +268,41 @@ def test_out_of_memory_aborts(capsys, monkeypatch, crime_path, command):
     assert run(capsys, *argv) == (EXIT_RESOURCE, "", "aborted: out of memory\n")
 
 
-@pytest.mark.parametrize(
-    "count, code, out, err",
-    [
-        (200, EXIT_OK, "probability: 0.5\n", ""),
-        (1500, EXIT_RESOURCE, "", "aborted: maximum recursion depth exceeded"),
-    ],
-    ids=["200", "1500"],
-)
-def test_search_recursion_at_depth(tmp_path, count, code, out, err):
-    """``count`` separate disjunctions on one individual.
-
-    The search recurses once per disjunction it branches on.  Without the
-    query's annotated assertion the rest is satisfiable, so that check
-    branches on every disjunction: 200 answer, 1,500 exhaust the Python
-    stack of a fresh interpreter and abort with the budget exit code.
-    """
-    path = tmp_path / "disjunctions.kb"
-    path.write_text("".join(f"a : A{i} or B{i}\n" for i in range(count)) + "0.5 :: a : C\n")
+def query_in_a_fresh_interpreter(path, query):
     package_root = Path(probalc.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "probalc.cli", "query", str(path), "a : C"],
+    return subprocess.run(
+        [sys.executable, "-m", "probalc.cli", "query", str(path), query],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(package_root)},
         timeout=120,
     )
-    assert result.returncode == code, result.stderr
-    assert result.stdout.startswith(out)
-    assert result.stderr.startswith(err)
-    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("count", [200, 1500])
+def test_search_recursion_at_depth(tmp_path, count):
+    """``count`` separate disjunctions on one individual.
+
+    Without the query's annotated assertion the rest is satisfiable, so
+    that check branches on every disjunction, one open branch point per
+    disjunction.  The search keeps them on its own stack, so 1,500 answer
+    like 200 (they exhausted the Python stack while each branch point
+    was a recursive call).
+    """
+    path = tmp_path / "disjunctions.kb"
+    path.write_text("".join(f"a : A{i} or B{i}\n" for i in range(count)) + "0.5 :: a : C\n")
+    result = query_in_a_fresh_interpreter(path, "a : C")
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout.startswith("probability: 0.5\n")
+
+
+def test_nested_witnesses_at_depth(tmp_path):
+    """A chain of 1,500 nested existentials: 1,500 witnesses, one below the other."""
+    path = tmp_path / "witnesses.kb"
+    path.write_text("a : " + "exists r. " * 1500 + "A\n0.5 :: a : C\n")
+    result = query_in_a_fresh_interpreter(path, "a : C")
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout.startswith("probability: 0.5\n")
 
 
 def test_long_justification_gets_a_diagram(tmp_path):
@@ -308,14 +313,7 @@ def test_long_justification_gets_a_diagram(tmp_path):
     """
     path = tmp_path / "long.kb"
     path.write_text("".join(f"0.999 :: A{i} <= A{i + 1}\n" for i in range(600)))
-    package_root = Path(probalc.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "probalc.cli", "query", str(path), "A0 <= A600"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(package_root)},
-        timeout=120,
-    )
+    result = query_in_a_fresh_interpreter(path, "A0 <= A600")
     assert result.returncode == EXIT_OK, result.stderr
     assert "Traceback" not in result.stderr
     first = result.stdout.splitlines()[0]

@@ -9,11 +9,17 @@ enumerating atom subsets.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import probalc
 from probalc.generators import fuzz_corpus, random_kb, random_query
 from probalc.justify import all_justifications
 from probalc.kb import (
@@ -34,6 +40,7 @@ from probalc.kb import (
     Exists,
     Forall,
 )
+from probalc.parser import parse_kb, parse_query
 from probalc.semantics import probability_bruteforce, probability_query
 from probalc.tableau import (
     _ATOM,
@@ -248,6 +255,68 @@ class TestBudgets:
             crime_query,
             deadline=Deadline.after(60.0),
         )
+
+
+# ---------------------------------------------------------------------------
+# The search stack
+
+# Run in a fresh interpreter: every query of the seed-2026 corpus (both
+# methods) and chain n=7, first at the default recursion limit, then with
+# only 20 frames above the caller's.  Prints both lists of answers.
+FIXED_STACK_SCRIPT = """
+import json, sys
+from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
+from probalc.semantics import RunConfig, probability_query
+
+cases = [
+    (kb, query, RunConfig(method=method))
+    for kb, query in [*fuzz_corpus(2026, 200), (generate_synthetic(7), chain_query(7))]
+    for method in ("glassbox", "blackbox")
+]
+
+def answer(kb, query, config):
+    try:
+        return repr(probability_query(kb, query, config).probability)
+    except RecursionError:
+        return "RecursionError"
+
+default = [answer(*case) for case in cases]
+frame, depth = sys._getframe(), 0
+while frame is not None:
+    frame, depth = frame.f_back, depth + 1
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(depth + 20)
+# A plain loop, unlike a comprehension on Python 3.11, takes no frame.
+fixed = []
+for case in cases:
+    fixed.append(answer(*case))
+sys.setrecursionlimit(limit)
+print(json.dumps([default, fixed]))
+"""
+
+
+class TestSearchStack:
+    def test_wide_conjunction_query(self):
+        """Its negation branches once per conjunct, 1,500 branch points deep."""
+        kb = parse_kb("".join(f"a : A{i}\n" for i in range(1500)))
+        query = parse_query("a : " + " and ".join(f"A{i}" for i in range(1500)))
+        assert entails(axioms_of(kb), query)
+        assert trace_entailment(kb.indexed(), query) == frozenset(range(1500))
+
+    def test_answers_on_a_fixed_stack(self):
+        """No query's answer depends on the depth of the Python stack."""
+        package_root = Path(probalc.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", FIXED_STACK_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)},
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        default, fixed = json.loads(result.stdout)
+        assert len(default) == 402 and "RecursionError" not in default
+        assert fixed == default
 
 
 # ---------------------------------------------------------------------------
