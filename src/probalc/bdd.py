@@ -21,10 +21,11 @@ operation and no apply cache is needed.  ``apply_and``, ``apply_or`` and
 The probability of the function is computed by one bottom-up pass: at a
 node for variable i with annotation p_i, the value is p_i times the high
 branch's value plus (1 - p_i) times the low branch's value.  Sharing
-makes the pass linear in the diagram size.  ``build``, the probability
-pass and the walks (``complement``, ``one_paths``, ``to_dot``) use
-explicit stacks, so a diagram's depth is not bounded by Python's
-recursion limit.
+makes the pass linear in the diagram size.  The probability pass,
+``node_count`` and ``complement`` each loop over one list of the
+reachable nodes, children first.  That list, ``build``, ``one_paths`` and
+``to_dot`` use explicit stacks, so a diagram's depth is not bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -207,23 +208,10 @@ class BddManager:
         if ref <= TRUE_REF:
             return float(ref)
         entries = self._entries
-        # Post-order: a node is valued once both of its children are.
-        stack = [ref]
-        while stack:
-            r = stack[-1]
+        for r in self._postorder(ref):
             if r in memo:
-                stack.pop()
                 continue
             level, low, high = entries[r]
-            waiting = False
-            if low > TRUE_REF and low not in memo:
-                stack.append(low)
-                waiting = True
-            if high > TRUE_REF and high not in memo:
-                stack.append(high)
-                waiting = True
-            if waiting:
-                continue
             try:
                 p = probs[level]
             except KeyError:
@@ -235,45 +223,45 @@ class BddManager:
             high_value = memo[high] if high > TRUE_REF else float(high)
             low_value = memo[low] if low > TRUE_REF else float(low)
             memo[r] = p * high_value + (1.0 - p) * low_value
-            stack.pop()
         return memo[ref]
 
     def node_count(self, ref: int) -> int:
         """Number of distinct internal nodes reachable from ``ref``."""
-        seen: set[int] = set()
-        stack = [ref]
-        while stack:
-            r = stack.pop()
-            if r <= TRUE_REF or r in seen:
-                continue
-            seen.add(r)
-            stack.append(self.low(r))
-            stack.append(self.high(r))
-        return len(seen)
+        return len(self._postorder(ref))
 
     def complement(self, ref: int) -> int:
-        """The diagram of the negated function (terminals swapped).
-
-        Nodes are made in the post-order of a recursive walk, low branch
-        first, with an explicit stack.
-        """
+        """The diagram of the negated function (terminals swapped)."""
         memo: dict[int, int] = {FALSE_REF: TRUE_REF, TRUE_REF: FALSE_REF}
+        for r in self._postorder(ref):
+            level, low, high = self._entries[r]
+            memo[r] = self._node(level, memo[low], memo[high])
+        return memo[ref]
+
+    def _postorder(self, ref: int) -> list[int]:
+        """The internal nodes reachable from ``ref``, children first, low branch first.
+
+        That is the order of a recursive post-order walk, kept with an
+        explicit stack.
+        """
+        order: list[int] = []
+        done = {FALSE_REF, TRUE_REF}
         entries = self._entries
         stack = [ref]
         while stack:
             r = stack[-1]
-            if r in memo:
+            if r in done:
                 stack.pop()
                 continue
-            level, low, high = entries[r]
-            if low not in memo:
+            _, low, high = entries[r]
+            if low not in done:
                 stack.append(low)
-            elif high not in memo:
+            elif high not in done:
                 stack.append(high)
             else:
-                memo[r] = self._node(level, memo[low], memo[high])
+                done.add(r)
+                order.append(r)
                 stack.pop()
-        return memo[ref]
+        return order
 
     def one_paths(self, ref: int) -> Iterator[dict[int, int]]:
         """Root-to-1 paths as {ordinal: decision} dicts over visited levels.

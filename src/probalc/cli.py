@@ -2,9 +2,12 @@
 
 Subcommands: ``query`` answers a probabilistic query against a KB file,
 ``gen`` prints a generated KB, ``bench`` runs the chain scaling table and
-``check`` tests consistency.  Exit codes: 0 on success, 1 on a parse
-error, 2 when a timeout or budget is exhausted or the reasoner runs out
-of Python stack or memory.  A reader that closes the output early (as
+``check`` tests consistency.  Exit codes: 0 on success; 1 on a usage
+error, a parse error, or a KB file that cannot be read or decoded as
+UTF-8 or an output file that cannot be written; 2 when a timeout or
+budget is exhausted or the reasoner runs out of Python stack or memory.
+The subcommands raise, and ``main`` alone turns what they raise into a
+message and an exit code.  A reader that closes the output early (as
 ``| head -1`` does) ends the run quietly with exit code 0.
 """
 
@@ -16,16 +19,12 @@ import os
 import sys
 from pathlib import Path
 
+from .bdd import BddManager
 from .generators import chain_query, generate_synthetic, random_kb
-from .justify import CoveringSet
+from .justify import METHODS, CoveringSet
 from .parser import ParseError, parse_kb, parse_query, render_annotated, serialize_kb
 from .pinpoint import render_formula
-from .bdd import BddManager
-from .semantics import (
-    RunConfig,
-    WorldLimitError,
-    probability_query,
-)
+from .semantics import ENGINES, RunConfig, WorldLimitError, probability_query
 from .tableau import Deadline, ResourceLimitError, is_consistent
 
 EXIT_OK = 0
@@ -33,65 +32,72 @@ EXIT_PARSE = 1
 EXIT_RESOURCE = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's usual 2 means an exhausted budget here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _above(kind: type, low):
+    """An argparse type: the text as ``kind``, refused unless greater than ``low``."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not value > low:  # so NaN is refused as well
+            raise argparse.ArgumentTypeError(f"must be > {low}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="probalc",
         description="Probabilistic ALC reasoning over annotated knowledge bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    query = sub.add_parser("query", help="compute the probability of a query")
+    common = _ArgumentParser(add_help=False)
+    # ``inf`` is accepted and means no deadline.
+    common.add_argument(
+        "--timeout", type=_above(float, 0), default=RunConfig.timeout_s, metavar="SECS"
+    )
+    common.add_argument("--json", action="store_true", help="print JSON")
+    reasoning = _ArgumentParser(add_help=False)
+    reasoning.add_argument("--method", choices=METHODS, default=RunConfig.method)
+    reasoning.add_argument("--engine", choices=ENGINES, default=RunConfig.engine)
+
+    query = sub.add_parser(
+        "query", parents=[reasoning, common], help="compute the probability of a query"
+    )
     query.add_argument("kb", type=Path, help="knowledge base file")
     query.add_argument("query", help="query text, e.g. 'a : C' or 'C <= D'")
-    query.add_argument("--method", choices=("glassbox", "blackbox"), default="glassbox")
-    query.add_argument("--engine", choices=("bdd", "bruteforce"), default="bdd")
-    query.add_argument("--timeout", type=float, default=600.0, metavar="SECS")
-    query.add_argument("--json", action="store_true", help="print one JSON object")
     query.add_argument("--dot", type=Path, metavar="PATH", help="write the diagram as DOT")
     query.set_defaults(func=cmd_query)
 
     gen = sub.add_parser("gen", help="generate a knowledge base")
-    gen.add_argument("n", nargs="?", type=_positive_int, help="chain layers")
+    gen.add_argument("n", nargs="?", type=_above(int, 0), help="chain layers")
     gen.add_argument("--random", action="store_true", help="random KB instead of the chain")
-    gen.add_argument("--axioms", type=int, default=10, help="max axioms for --random")
+    gen.add_argument("--axioms", type=_above(int, 2), default=10, help="max axioms for --random")
     gen.add_argument("--seed", type=int, default=0, metavar="N")
     gen.add_argument("-o", "--out", type=Path, help="write to file instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
-    bench = sub.add_parser("bench", help="scaling table over the chain family")
+    bench = sub.add_parser(
+        "bench", parents=[reasoning, common], help="scaling table over the chain family"
+    )
     bench.add_argument("max_n", type=int, help="largest chain length (rows 2, 4, ...)")
-    bench.add_argument("--method", choices=("glassbox", "blackbox"), default="glassbox")
-    bench.add_argument("--engine", choices=("bdd", "bruteforce"), default="bdd")
-    bench.add_argument("--timeout", type=float, default=600.0, metavar="SECS")
-    bench.add_argument("--json", action="store_true")
     bench.set_defaults(func=cmd_bench)
 
-    check = sub.add_parser("check", help="consistency of all axioms taken together")
+    check = sub.add_parser(
+        "check", parents=[common], help="consistency of all axioms taken together"
+    )
     check.add_argument("kb", type=Path)
-    check.add_argument("--timeout", type=float, default=600.0, metavar="SECS")
-    check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_check)
     return parser
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("n must be >= 1")
-    return value
-
-
-def _parse_kb_file(path: Path):
-    return parse_kb(path.read_text())
-
-
-def _print_parse_error(error: ParseError) -> None:
-    print(f"parse error at {error.line}:{error.column}: {error.message}", file=sys.stderr)
-
-
-def _print_out_of_memory() -> None:
-    # str(MemoryError()) is empty, so the message names the cause itself.
-    print("aborted: out of memory", file=sys.stderr)
 
 
 def _justification_lines(kb, covering: CoveringSet) -> list[str]:
@@ -104,33 +110,13 @@ def _justification_lines(kb, covering: CoveringSet) -> list[str]:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    try:
-        kb = _parse_kb_file(args.kb)
-        query = parse_query(args.query)
-    except ParseError as error:
-        _print_parse_error(error)
-        return EXIT_PARSE
-    except OSError as error:
-        print(f"cannot read {args.kb}: {error.strerror or error}", file=sys.stderr)
-        return EXIT_PARSE
-    config = RunConfig(
-        method=args.method,
-        engine=args.engine,
-        timeout_s=args.timeout,
-    )
-    try:
-        result = probability_query(kb, query, config)
-        if args.dot:
-            manager = BddManager(len(kb.prob_indices))
-            dot = manager.to_dot(manager.build(result.formula))
-    except (ResourceLimitError, WorldLimitError, RecursionError) as error:
-        print(f"aborted: {error}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError:
-        _print_out_of_memory()
-        return EXIT_RESOURCE
+    kb = parse_kb(args.kb.read_text(encoding="utf-8"))
+    query = parse_query(args.query)
+    config = RunConfig(method=args.method, engine=args.engine, timeout_s=args.timeout)
+    result = probability_query(kb, query, config)
     if args.dot:
-        args.dot.write_text(dot)
+        manager = BddManager(len(kb.prob_indices))
+        args.dot.write_text(manager.to_dot(manager.build(result.formula)))
     formula_text = render_formula(result.formula)
     if args.json:
         payload = {
@@ -159,10 +145,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.random:
         kb = random_kb(args.seed, max_axioms=args.axioms)
+    elif args.n is None:
+        print("gen: provide a chain length or --random", file=sys.stderr)
+        return EXIT_PARSE
     else:
-        if args.n is None:
-            print("gen: provide a chain length or --random", file=sys.stderr)
-            return EXIT_PARSE
         kb = generate_synthetic(args.n)
     text = serialize_kb(kb)
     if args.out:
@@ -173,14 +159,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config_base = dict(method=args.method, engine=args.engine, timeout_s=args.timeout)
+    config = RunConfig(method=args.method, engine=args.engine, timeout_s=args.timeout)
     rows = []
     print(f"{'n':>4} {'axioms':>7} {'justs':>7} {'bdd':>6} {'probability':>16} {'time_s':>9}")
     for n in range(2, args.max_n + 1, 2):
         kb = generate_synthetic(n)
         query = chain_query(n)
         try:
-            result = probability_query(kb, query, RunConfig(**config_base))
+            result = probability_query(kb, query, config)
         except (ResourceLimitError, WorldLimitError):
             print(f"{n:>4} {len(kb):>7} {'--':>7} {'--':>6} {'--':>16} {'--':>9}")
             rows.append({"n": n, "timeout": True})
@@ -208,24 +194,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        kb = _parse_kb_file(args.kb)
-    except ParseError as error:
-        _print_parse_error(error)
-        return EXIT_PARSE
-    except OSError as error:
-        print(f"cannot read {args.kb}: {error.strerror or error}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        consistent = is_consistent(
-            [a.axiom for a in kb.axioms], deadline=Deadline.after(args.timeout)
-        )
-    except (ResourceLimitError, RecursionError) as error:
-        print(f"aborted: {error}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError:
-        _print_out_of_memory()
-        return EXIT_RESOURCE
+    kb = parse_kb(args.kb.read_text(encoding="utf-8"))
+    consistent = is_consistent(
+        [a.axiom for a in kb.axioms], deadline=Deadline.after(args.timeout)
+    )
     if args.json:
         print(json.dumps({"consistent": consistent}))
     else:
@@ -234,9 +206,29 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand and turn what it raises into a message and an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # ``entrypoint`` ends the run quietly.
+    except ParseError as error:
+        message = f"parse error at {error.line}:{error.column}: {error.message}"
+        code = EXIT_PARSE
+    except UnicodeDecodeError as error:
+        message, code = f"cannot read {args.kb}: {error}", EXIT_PARSE
+    except OSError as error:
+        # The KB is the only file read; ``-o`` and ``--dot`` are written.
+        verb = "read" if "kb" in args and error.filename == str(args.kb) else "write"
+        message = f"cannot {verb} {error.filename}: {error.strerror or error}"
+        code = EXIT_PARSE
+    except (ResourceLimitError, WorldLimitError, RecursionError) as error:
+        message, code = f"aborted: {error}", EXIT_RESOURCE
+    except MemoryError:
+        # str(MemoryError()) is empty, so the message names the cause itself.
+        message, code = "aborted: out of memory", EXIT_RESOURCE
+    print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

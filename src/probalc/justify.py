@@ -60,6 +60,7 @@ from .tableau import (
 )
 
 DEFAULT_HST_BUDGET = 100_000
+METHODS = ("glassbox", "blackbox")
 
 Justification = frozenset[int]
 
@@ -202,6 +203,7 @@ def single_justification(
     query, and ValueError for an unknown method name or an index outside
     the knowledge base.
     """
+    _check_method(method)
     session = _Session(kb, query, node_budget, deadline)
     mask = (1 << len(kb)) - 1 if subset is None else _mask(subset, len(kb))
     just = _single(session, mask, method)
@@ -210,10 +212,13 @@ def single_justification(
     return frozenset(_bits(just))
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown justification method {method!r}")
+
+
 def _single(session: _Session, mask: int, method: str) -> int | None:
     """One justification within ``mask``, or None when it does not entail the query."""
-    if method not in ("glassbox", "blackbox"):
-        raise ValueError(f"unknown justification method {method!r}")
     entailing = session.ask(mask, method == "glassbox")
     if entailing is not None and method == "blackbox":
         entailing = _expand(session, entailing)
@@ -253,8 +258,10 @@ def all_justifications(
     """Every justification of the query, via a hitting set tree.
 
     Returns an empty covering set when the query is not entailed at all.
-    Raises ResourceLimitError when the tree budget or deadline runs out.
+    Raises ResourceLimitError when the tree budget or deadline runs out,
+    and ValueError for an unknown method name.
     """
+    _check_method(method)
     session = _Session(kb, query, node_budget, deadline)
     everything = (1 << len(kb)) - 1
     root = _single(session, everything, method)

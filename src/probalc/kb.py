@@ -240,43 +240,41 @@ def nnf(c: Concept) -> Concept:
     Duals of Top and Bottom are resolved; no other normalization happens
     (conjunct order, nesting and duplicates are preserved), so structural
     equality of normal forms stays meaningful for clash detection.
+
+    The concept is walked with an explicit stack whose entries carry a
+    polarity: ``Not`` flips it, and under negation And and Or, Exists and
+    Forall, and Top and Bottom swap, and an atom becomes its negation.  A
+    binary concept or a quantifier waits on the stack as its class, with
+    its role, until its children are done.
     """
-    t = type(c)
-    if t is Atomic or t is Top or t is Bottom:
-        return c
-    if t is Not:
-        return _nnf_not(c.arg)
-    if t is And:
-        return And(nnf(c.left), nnf(c.right))
-    if t is Or:
-        return Or(nnf(c.left), nnf(c.right))
-    if t is Exists:
-        return Exists(c.role, nnf(c.filler))
-    if t is Forall:
-        return Forall(c.role, nnf(c.filler))
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def _nnf_not(c: Concept) -> Concept:
-    """Normal form of the complement of ``c``."""
-    t = type(c)
-    if t is Atomic:
-        return Not(c)
-    if t is Top:
-        return BOTTOM
-    if t is Bottom:
-        return TOP
-    if t is Not:
-        return nnf(c.arg)
-    if t is And:
-        return Or(_nnf_not(c.left), _nnf_not(c.right))
-    if t is Or:
-        return And(_nnf_not(c.left), _nnf_not(c.right))
-    if t is Exists:
-        return Forall(c.role, _nnf_not(c.filler))
-    if t is Forall:
-        return Exists(c.role, _nnf_not(c.filler))
-    raise TypeError(f"not a concept: {c!r}")
+    done: list[Concept] = []
+    stack: list = [(c, True)]
+    while stack:
+        item, arg = stack.pop()
+        t = type(item)
+        if t is type:
+            # A class whose children are done; ``arg`` is its role, or None.
+            if arg is None:
+                right = done.pop()
+                done.append(item(done.pop(), right))
+            else:
+                done.append(item(arg, done.pop()))
+        elif t is Atomic:
+            done.append(item if arg else Not(item))
+        elif t is Top or t is Bottom:
+            done.append(item if arg else (BOTTOM if t is Top else TOP))
+        elif t is Not:
+            stack.append((item.arg, not arg))
+        elif t is And or t is Or:
+            stack.append((t if arg else (And if t is Or else Or), None))
+            stack.append((item.right, arg))
+            stack.append((item.left, arg))
+        elif t is Exists or t is Forall:
+            stack.append((t if arg else (Exists if t is Forall else Forall), item.role))
+            stack.append((item.filler, arg))
+        else:
+            raise TypeError(f"not a concept: {item!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

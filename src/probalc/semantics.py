@@ -22,12 +22,13 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .bdd import BddManager
-from .justify import CoveringSet, all_justifications, DEFAULT_HST_BUDGET
+from .justify import METHODS, CoveringSet, all_justifications, DEFAULT_HST_BUDGET
 from .kb import KnowledgeBase, Query
 from .pinpoint import Formula, formula_from_justifications
 from .tableau import DEFAULT_NODE_BUDGET, Deadline, entails
 
 DEFAULT_WORLD_LIMIT = 20
+ENGINES = ("bdd", "bruteforce")
 
 
 class WorldLimitError(Exception):
@@ -136,11 +137,12 @@ class RunConfig:
     world_limit: int = DEFAULT_WORLD_LIMIT
 
     def __post_init__(self) -> None:
-        if self.method not in ("glassbox", "blackbox"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.engine not in ("bdd", "bruteforce"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.timeout_s <= 0:
+        # Written so that NaN, which compares false with everything, fails too.
+        if not self.timeout_s > 0:
             raise ValueError("timeout_s must be positive")
 
     def as_dict(self) -> dict:

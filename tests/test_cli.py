@@ -219,6 +219,50 @@ class TestCheckCommand:
         assert "parse error" in err
 
 
+FAILING_INPUTS = {
+    "gen-axioms-2": ["gen", "--random", "--axioms", "2"],
+    "gen-unwritable-out": ["gen", "3", "-o", "{missing}/x.kb"],
+    "query-unwritable-dot": ["query", "{crime}", QUERY, "--dot", "{missing}/x.dot"],
+    "query-timeout-0": ["query", "{crime}", QUERY, "--timeout", "0"],
+    "bench-timeout-0": ["bench", "2", "--timeout", "0"],
+    "check-timeout-0": ["check", "{crime}", "--timeout", "0"],
+    "query-timeout-nan": ["query", "{crime}", QUERY, "--timeout", "nan"],
+    "query-not-utf8": ["query", "{not_utf8}", QUERY],
+    "check-not-utf8": ["check", "{not_utf8}"],
+    "gen-0": ["gen", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", FAILING_INPUTS.values(), ids=FAILING_INPUTS.keys())
+def test_bad_input_exits_1(capsys, tmp_path, crime_path, argv):
+    """Usage errors, bad option values and unusable files exit 1 without a traceback.
+
+    A usage error leaves ``main`` as ``SystemExit``; the other cases
+    return their code from ``main``.
+    """
+    not_utf8 = tmp_path / "not_utf8.kb"
+    not_utf8.write_bytes(b"a : A\n0.5 :: a : C\xff\n")
+    paths = {"crime": crime_path, "not_utf8": not_utf8, "missing": tmp_path / "missing"}
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_PARSE, "")
+    assert "Traceback" not in captured.err
+    if "{not_utf8}" in argv:
+        assert captured.err.startswith(f"cannot read {not_utf8}: ")
+        assert captured.err.count("\n") == 1
+    if "{missing}/x.kb" in argv or "{missing}/x.dot" in argv:
+        assert captured.err.startswith(f"cannot write {tmp_path / 'missing'}/x.")
+
+
+def test_infinite_timeout_means_no_deadline(capsys, crime_path):
+    code, out, err = run(capsys, "query", str(crime_path), QUERY, "--timeout", "inf")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("probability: 0.176\n")
+
+
 LONG_CHAIN = "".join(f"0.99 :: A{i} <= A{i + 1}\n" for i in range(1200))
 
 

@@ -87,6 +87,27 @@ class TestNnf:
         assert nnf(And(TOP, A)) == And(TOP, A)
         assert nnf(And(A, A)) == And(A, A)
 
+    def test_atoms_are_kept(self):
+        assert nnf(And(A, Not(Not(B)))).right is B
+        assert nnf(Not(Or(A, B))).left.arg is A
+
+    def test_deep_negated_conjunction(self):
+        """``not (A0 and ... and A1499)``: the walk does not recurse per level.
+
+        The chain is checked with a loop, because the generated ``__eq__``
+        of the concepts does recurse.
+        """
+        names = [Atomic(f"A{i}") for i in range(1500)]
+        conjunction = names[-1]
+        for name in reversed(names[:-1]):
+            conjunction = And(name, conjunction)
+        disjunction = nnf(Not(conjunction))
+        for name in names[:-1]:
+            assert type(disjunction) is Or
+            assert type(disjunction.left) is Not and disjunction.left.arg is name
+            disjunction = disjunction.right
+        assert type(disjunction) is Not and disjunction.arg is names[-1]
+
     @given(concepts())
     def test_idempotent(self, c):
         """nnf(nnf(c)) is structurally identical to nnf(c)."""

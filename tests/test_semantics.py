@@ -170,6 +170,7 @@ class TestRunConfig:
             {"engine": "abacus"},
             {"timeout_s": 0.0},
             {"timeout_s": -1.0},
+            {"timeout_s": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -13,6 +13,18 @@ PACKAGE = Path(probalc.__file__).resolve().parent
 # ``__init__.py`` imports names to re-export them.
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
+# Functions that may call themselves, each with the reason that is safe for now.
+_LATER = "the planned pinpointing engine (ROADMAP item 3) must make it iterative before using it"
+_FORMULAS = "the pipeline's formulas are at most two levels deep"
+ALLOWED_RECURSION = {
+    "bdd.BddManager.apply_and": _LATER,
+    "bdd.BddManager.apply_or": _LATER,
+    "pinpoint._eval": _FORMULAS,
+    "pinpoint._collect_vars": _FORMULAS,
+    "pinpoint._render": _FORMULAS,
+    "generators.random_concept": "its depth is an argument",
+}
+
 
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never uses, ``__future__`` features aside."""
@@ -44,3 +56,60 @@ def test_modules_were_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def self_calls(source: str, module: str) -> list[str]:
+    """The module's functions that call themselves, as ``module.name`` or ``module.Class.name``.
+
+    A module-level function counts when it calls its own name, a method
+    when it loads ``self.<its own name>``.  A method calling the module
+    function of the same name is not recursion.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            if any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == node.name
+                for n in ast.walk(node)
+            ):
+                found.append(f"{module}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load)
+                    and n.attr == method.name
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                    for n in ast.walk(method)
+                ):
+                    found.append(f"{module}.{node.name}.{method.name}")
+    return found
+
+
+def test_the_check_finds_self_calls():
+    source = (
+        "def f(x):\n    return f(x - 1) if x else 0\n"
+        "def g(x):\n    return f(x)\n"
+        "def vocabulary(x):\n    return x\n"
+        "class K:\n"
+        "    def m(self, x):\n        return self._apply(self.m, x)\n"
+        "    def vocabulary(self):\n        return vocabulary(self)\n"
+    )
+    assert self_calls(source, "mod") == ["mod.f", "mod.K.m"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_recursion(module):
+    """Inputs of any depth must not reach Python's recursion limit."""
+    name = module.removesuffix(".py")
+    found = self_calls((PACKAGE / module).read_text(), name)
+    assert [f for f in found if f not in ALLOWED_RECURSION] == []
+
+
+def test_allowed_recursion_still_recurses():
+    """An entry whose function no longer calls itself is dropped from the list."""
+    found = set()
+    for module in MODULES:
+        found.update(self_calls((PACKAGE / module).read_text(), module.removesuffix(".py")))
+    assert set(ALLOWED_RECURSION) <= found
