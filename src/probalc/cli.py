@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", parents=[reasoning, common], help="scaling table over the chain family"
     )
-    bench.add_argument("max_n", type=int, help="largest chain length (rows 2, 4, ...)")
+    bench.add_argument("max_n", type=_above(int, 1), help="largest chain length (rows 2, 4, ...)")
     bench.set_defaults(func=cmd_bench)
 
     check = sub.add_parser(

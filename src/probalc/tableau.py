@@ -50,24 +50,24 @@ searched as a graph of its own, after the branch that made it, instead
 of being woven into the global branch tree.  It follows that role
 assertions are the only edges of a graph: the ABox is the initial
 completion graph, its edges are fixed before the search starts, and a
-branch copies only the labels.  The
-roots of all pending witnesses of a branch are built before any subtree
-is searched, and a root that clashes as built closes the branch at once:
-searching a satisfiable sibling's subtree first can cost more than the
-whole rest of the refutation.  Termination relies on ancestor
-subset-blocking: an existential is never expanded on a node whose label
-is included in an ancestor's label.  A node budget and an optional
-cooperative deadline bound runaway inputs.
+branch changes only the labels.  The roots of all pending witnesses of a
+branch are built before any subtree is searched, and a root that clashes
+as built closes the branch at once: searching a satisfiable sibling's
+subtree first can cost more than the whole rest of the refutation.
+Termination relies on ancestor subset-blocking: an existential is never
+expanded on a node whose label is included in an ancestor's label.  A
+node budget and an optional cooperative deadline bound runaway inputs.
 
 One loop runs the whole search over one explicit stack of open branch
 points and pending witnesses, as Horrocks & Patel-Schneider keep their
-branch points, so no input depth reaches the Python stack.  A branch
-point keeps its graph and its remaining side: the first side runs on a
-copy and the last on the graph itself.  An open branch goes on with the
-next pending witness, and a branch point reached first is satisfied and
-dropped.  A clash pops back to the last open branch point, dropping the
-witnesses above it; a branch point with no side left closes with the
-union of its sides' clash traces.
+branch points, so no input depth reaches the Python stack.  Both sides
+of a disjunction run on one graph: a branch point keeps the graph, its
+remaining side and a mark of the graph's size, and before the last side
+runs the graph is cut back to that mark.  An open branch goes on with the next pending witness, and a
+branch point reached first is satisfied and dropped.  A clash pops back
+to the last open branch point, dropping the witnesses above it; a branch
+point with no side left closes with the union of its sides' clash
+traces.
 """
 
 from __future__ import annotations
@@ -298,16 +298,26 @@ class _Run:
 
 
 class _Graph:
-    """One branch of the completion graph.
+    """The completion graph of the branch being searched, undone on backtrack.
 
     ``labels[n]`` maps each concept id in node n's label to its trace;
     insertion order doubles as the deterministic scan order.  The agenda
     ``disjunctions[n]`` lists the disjunctions of that label in the same
     order, and every one before ``cursors[n]`` is satisfied.  ``edges``
     maps ``(node, role)`` to the successors and their traces; it is fixed
-    before the search and shared by every branch.  The first side of a
-    branch runs on a copy of the labels and the agenda and the last on the
-    graph itself, so rule applications never need undoing.
+    before the search.
+
+    Every side of a branch runs on the same graph: ``mark`` records its
+    size when the branch point is pushed, and ``undo`` cuts it back to
+    that size before the next side runs.  Cutting back restores the graph
+    exactly because
+    - a label key is never overwritten, so labels and agendas only grow,
+      newest entry last, and dropping what came after the mark (a dict
+      pops newest first) leaves them as they were;
+    - a graph's node count is fixed once it is built, because existential
+      witnesses are separate graphs;
+    - a branch point's witnesses sit above it on the search stack, so they
+      are dropped before it is undone.
     """
 
     __slots__ = ("run", "labels", "disjunctions", "cursors", "edges", "clash")
@@ -320,15 +330,20 @@ class _Graph:
         self.edges = edges
         self.clash: int | None = None
 
-    def copy(self) -> "_Graph":
-        g = _Graph.__new__(_Graph)
-        g.run = self.run
-        g.labels = [dict(d) for d in self.labels]
-        g.disjunctions = [list(d) for d in self.disjunctions]
-        g.cursors = list(self.cursors)
-        g.edges = self.edges
-        g.clash = self.clash
-        return g
+    def mark(self) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+        """Each node's label and agenda lengths, and a copy of the cursors."""
+        return tuple(map(len, self.labels)), tuple(map(len, self.disjunctions)), self.cursors[:]
+
+    def undo(self, sizes: tuple[int, ...], counts: tuple[int, ...], cursors: list[int]) -> None:
+        """Cut the graph back to what ``mark`` returned, taken while it had no clash."""
+        for label, agenda, size, count in zip(self.labels, self.disjunctions, sizes, counts):
+            # An agenda grows only with its label.
+            if len(label) > size:
+                while len(label) > size:
+                    label.popitem()
+                del agenda[count:]
+        self.cursors[:] = cursors
+        self.clash = None
 
     def new_node(self) -> int:
         run = self.run
@@ -465,9 +480,10 @@ def _refute(
     # ``graph`` is the branch being searched and ``ancestors`` the label key
     # sets of its witness chain, for blocking.  The stack holds pending
     # witnesses as ``(graph, ancestors)`` tuples and open branch points as
-    # ``[graph, node, side, trace, closed, ancestors]`` lists, where
-    # ``side`` is the one still to run (-1 once none is left) and
-    # ``closed`` the union of the clash traces of the sides that ran.
+    # ``[graph, node, side, trace, closed, ancestors, mark]`` lists, where
+    # ``side`` is the one still to run (-1 once none is left), ``closed``
+    # the union of the clash traces of the sides that ran and ``mark`` the
+    # graph's size before the first side.
     ancestors: tuple[frozenset, ...] = ()
     stack: list = []
     while True:
@@ -481,8 +497,7 @@ def _refute(
                 trace = graph.labels[node][disjunction]
                 side = left[disjunction]
                 if side != right[disjunction]:
-                    stack.append([graph, node, right[disjunction], trace, 0, ancestors])
-                    graph = graph.copy()
+                    stack.append([graph, node, right[disjunction], trace, 0, ancestors, graph.mark()])
                 graph.add(node, side, trace)
                 continue
             # No disjunction is pending, so every label is final: build the
@@ -527,20 +542,21 @@ def _refute(
                 graph, ancestors = stack.pop()
                 continue
         # A clash closes the branch: pop back to the last open branch point,
-        # dropping the witnesses above it, and run its last side on its own
-        # graph.  One with no side left closes with the union of its sides.
+        # dropping the witnesses above it, cut its graph back to the mark and
+        # run the last side.  One with no side left closes with the union of
+        # its sides.
         while stack:
-            entry = stack.pop()
+            entry = stack[-1]
             if type(entry) is list:
                 entry[4] |= closed
-                if entry[2] < 0:
-                    closed = entry[4]
-                    continue
-                graph, node, side, trace, _, ancestors = entry
-                entry[2] = -1
-                stack.append(entry)
-                graph.add(node, side, trace)
-                break
+                if entry[2] >= 0:
+                    graph, node, side, trace, _, ancestors, mark = entry
+                    entry[2] = -1
+                    graph.undo(*mark)
+                    graph.add(node, side, trace)
+                    break
+                closed = entry[4]
+            stack.pop()
         else:
             return closed
 

@@ -225,6 +225,8 @@ FAILING_INPUTS = {
     "query-unwritable-dot": ["query", "{crime}", QUERY, "--dot", "{missing}/x.dot"],
     "query-timeout-0": ["query", "{crime}", QUERY, "--timeout", "0"],
     "bench-timeout-0": ["bench", "2", "--timeout", "0"],
+    "bench-1": ["bench", "1"],
+    "bench-negative": ["bench", "-3"],
     "check-timeout-0": ["check", "{crime}", "--timeout", "0"],
     "query-timeout-nan": ["query", "{crime}", QUERY, "--timeout", "nan"],
     "query-not-utf8": ["query", "{not_utf8}", QUERY],

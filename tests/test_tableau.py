@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,23 @@ class TestSearchStack:
         assert entails(axioms_of(kb), query)
         assert trace_entailment(kb.indexed(), query) == frozenset(range(1500))
 
+    def test_deep_branching_in_little_memory(self):
+        """1,500 open branch points on one 3,000-entry label.
+
+        Each branch point keeps only a mark of the label's size, so the
+        memory peak does not grow with depth times width.
+        """
+        kb = parse_kb("".join(f"a : A{i} or B{i}\n" for i in range(1500)) + "0.5 :: a : C\n")
+        query = parse_query("a : C")
+        tracemalloc.start()
+        try:
+            probability = probability_query(kb, query).probability
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probability == pytest.approx(0.5)
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
     def test_answers_on_a_fixed_stack(self):
         """No query's answer depends on the depth of the Python stack."""
         package_root = Path(probalc.__file__).resolve().parents[1]
@@ -426,6 +444,41 @@ def test_agenda_picks_what_the_full_scan_picks(monkeypatch, crime_kb, crime_quer
             all_justifications(kb, query, method)
     # Both outcomes, and picks that skip satisfied disjunctions, must occur.
     assert min(picks.values()) > 1000, picks
+
+
+# ---------------------------------------------------------------------------
+# Undoing a branch against a copy of the graph it restores
+
+
+def _snapshot(graph):
+    """A deep copy of what a mark restores, label order included."""
+    return (
+        [list(label.items()) for label in graph.labels],
+        [list(agenda) for agenda in graph.disjunctions],
+        list(graph.cursors),
+    )
+
+
+def test_undo_restores_the_marked_graph(monkeypatch, crime_kb, crime_query):
+    mark, undo = _Graph.mark, _Graph.undo
+    undos = 0
+
+    def marked(graph):
+        return (*mark(graph), _snapshot(graph))
+
+    def checked(graph, sizes, counts, cursors, expected):
+        nonlocal undos
+        undo(graph, sizes, counts, cursors)
+        assert _snapshot(graph) == expected
+        assert graph.clash is None
+        undos += 1
+
+    monkeypatch.setattr(_Graph, "mark", marked)
+    monkeypatch.setattr(_Graph, "undo", checked)
+    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query)]:
+        for method in ("glassbox", "blackbox"):
+            all_justifications(kb, query, method)
+    assert undos > 1000, undos
 
 
 # ---------------------------------------------------------------------------
