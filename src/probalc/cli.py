@@ -161,21 +161,24 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = RunConfig(method=args.method, engine=args.engine, timeout_s=args.timeout)
     rows = []
-    print(f"{'n':>4} {'axioms':>7} {'justs':>7} {'bdd':>6} {'probability':>16} {'time_s':>9}")
+    if not args.json:
+        print(f"{'n':>4} {'axioms':>7} {'justs':>7} {'bdd':>6} {'probability':>16} {'time_s':>9}")
     for n in range(2, args.max_n + 1, 2):
         kb = generate_synthetic(n)
         query = chain_query(n)
         try:
             result = probability_query(kb, query, config)
         except (ResourceLimitError, WorldLimitError):
-            print(f"{n:>4} {len(kb):>7} {'--':>7} {'--':>6} {'--':>16} {'--':>9}")
+            if not args.json:
+                print(f"{n:>4} {len(kb):>7} {'--':>7} {'--':>6} {'--':>16} {'--':>9}")
             rows.append({"n": n, "timeout": True})
             continue
         elapsed = result.time_ms / 1000
-        print(
-            f"{n:>4} {len(kb):>7} {len(result.covering):>7} {result.bdd_nodes:>6}"
-            f" {result.probability:>16.12g} {elapsed:>9.3f}"
-        )
+        if not args.json:
+            print(
+                f"{n:>4} {len(kb):>7} {len(result.covering):>7} {result.bdd_nodes:>6}"
+                f" {result.probability:>16.12g} {elapsed:>9.3f}"
+            )
         rows.append(
             {
                 "n": n,

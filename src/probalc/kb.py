@@ -1,9 +1,10 @@
 """Core model for annotated ALC knowledge bases.
 
 Concept expressions, axioms, probability annotations and queries are
-immutable tagged unions built from frozen dataclasses.  A knowledge base
-is an ordered list of annotated axioms; the 0-based list position of an
-axiom is its identity everywhere downstream (justifications, formula
+immutable tagged unions built from frozen dataclasses; concepts compare,
+hash and print without recursing, at any depth.  A knowledge base is an
+ordered list of annotated axioms; the 0-based list position of an axiom
+is its identity everywhere downstream (justifications, formula
 variables, diagram levels), so the order is never shuffled.  The
 probabilistic view preserves list order as well: the i-th annotated axiom
 in list order is "ordinal" i, which doubles as the diagram variable order.
@@ -27,50 +28,98 @@ from typing import Iterable, Union
 
 
 class Concept:
-    """Base class for ALC concept expressions."""
+    """Base class for ALC concept expressions.
+
+    Concepts compare, hash and print by walking an explicit stack, so a
+    concept of any depth does all three.  Two concepts are equal when
+    their flat keys are: the class names and the names or roles of the
+    concept in pre-order.  The classes' fixed arities make that order
+    decode to one tree, and class names rather than classes keep a hash
+    reproducible under a fixed ``PYTHONHASHSEED``.  ``repr`` prints what
+    a dataclass ``repr`` would.
+    """
 
     __slots__ = ()
 
+    def _key(self) -> tuple:
+        key = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Concept):
+                key.append(type(item).__name__)
+                for field in reversed(item.__match_args__):
+                    stack.append(getattr(item, field))
+            else:
+                key.append(item)
+        return tuple(key)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Concept):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        # Text to print waits on the stack as str, a field's concept as itself.
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            fields = item.__match_args__
+            parts.append(f"{type(item).__qualname__}(")
+            stack.append(")")
+            for at in range(len(fields) - 1, -1, -1):
+                value = getattr(item, fields[at])
+                stack.append(value if isinstance(value, Concept) else repr(value))
+                stack.append(f"{', ' if at else ''}{fields[at]}=")
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Atomic(Concept):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Concept):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Concept):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Concept):
     arg: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exists(Concept):
     role: str
     filler: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Forall(Concept):
     role: str
     filler: Concept

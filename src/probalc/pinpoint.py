@@ -180,22 +180,6 @@ def _eval(formula: Formula, chosen) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def variables(formula: Formula) -> frozenset[int]:
-    """Ordinals occurring in the formula."""
-    out: set[int] = set()
-    _collect_vars(formula, out)
-    return frozenset(out)
-
-
-def _collect_vars(formula: Formula, out: set[int]) -> None:
-    t = type(formula)
-    if t is Var:
-        out.add(formula.ordinal)
-    elif t is Conj or t is Disj:
-        for p in formula.parts:
-            _collect_vars(p, out)
-
-
 def render_formula(formula: Formula) -> str:
     """Text form like ``(x1 & x2) | (x1 & x3)``; variables print 1-based."""
     t = type(formula)

@@ -48,26 +48,33 @@ Roles have no inverses, so the subtree below a fresh existential witness
 never constrains the rest of the graph.  Each witness is therefore
 searched as a graph of its own, after the branch that made it, instead
 of being woven into the global branch tree.  It follows that role
-assertions are the only edges of a graph: the ABox is the initial
-completion graph, its edges are fixed before the search starts, and a
-branch changes only the labels.  The roots of all pending witnesses of a
-branch are built before any subtree is searched, and a root that clashes
-as built closes the branch at once: searching a satisfiable sibling's
-subtree first can cost more than the whole rest of the refutation.
-Termination relies on ancestor subset-blocking: an existential is never
-expanded on a node whose label is included in an ancestor's label.  A
-node budget and an optional cooperative deadline bound runaway inputs.
+assertions are the only edges of a graph and that a graph builds all its
+nodes at once: the ABox graph one per individual, its edges fixed before
+the search starts, and a witness graph its root.  A branch changes only
+the labels.  The roots of all pending witnesses of a branch are built
+before any subtree is searched, and a root that clashes as built closes
+the branch at once: searching a satisfiable sibling's subtree first can
+cost more than the whole rest of the refutation.  Termination relies on
+ancestor subset-blocking: an existential is never expanded on a node
+whose label is included in an ancestor's label, and each graph holds
+views of its ancestors' labels.  A node budget, counted as graphs are
+built, and an optional cooperative deadline bound runaway inputs.
 
-One loop runs the whole search over one explicit stack of open branch
-points and pending witnesses, as Horrocks & Patel-Schneider keep their
-branch points, so no input depth reaches the Python stack.  Both sides
-of a disjunction run on one graph: a branch point keeps the graph, its
-remaining side and a mark of the graph's size, and before the last side
-runs the graph is cut back to that mark.  An open branch goes on with the next pending witness, and a
-branch point reached first is satisfied and dropped.  A clash pops back
-to the last open branch point, dropping the witnesses above it; a branch
-point with no side left closes with the union of its sides' clash
-traces.
+One loop runs the whole search over one explicit stack, as Horrocks &
+Patel-Schneider keep their branch points, so no input depth reaches the
+Python stack.  Both sides of a disjunction run on one graph, and the
+type of a stack entry says what it is:
+- a graph is a pending witness;
+- a ``(graph, node, side, trace, mark)`` tuple is a branch point with a
+  side left, ``mark`` being the graph's size before the first side;
+- an int stands for a branch point whose last side is running: the
+  union of its first side's clash traces.
+An open branch goes on with the next pending witness, and a branch point
+reached first is satisfied and dropped.  A clash pops back to the last
+tuple, dropping the witnesses above it, cuts its graph back to the mark,
+puts the clash in its place and runs the last side; an int reached
+instead closes its branch point with the union of both sides.  No entry
+is changed once pushed.
 """
 
 from __future__ import annotations
@@ -272,40 +279,26 @@ class CompiledKB:
         return self._goal
 
 
-class _Run:
-    """Mutable per-call bookkeeping shared by all branches.
-
-    Only the axioms in ``mask`` take part; ``seen`` is ``mask`` in a
-    traced call and 0 otherwise, so ``bit & seen`` is an axiom's trace.
-    """
-
-    __slots__ = ("kb", "mask", "seen", "node_budget", "nodes_created")
-
-    def __init__(self, kb: CompiledKB, mask: int, seen: int, node_budget: int):
-        self.kb = kb
-        self.mask = mask
-        self.seen = seen
-        self.node_budget = node_budget
-        self.nodes_created = 0
-
-    def charge_node(self) -> None:
-        self.nodes_created += 1
-        if self.nodes_created > self.node_budget:
-            raise ResourceLimitError(
-                f"node budget of {self.node_budget} exhausted",
-                {"nodes_created": self.nodes_created},
-            )
-
-
 class _Graph:
     """The completion graph of the branch being searched, undone on backtrack.
 
-    ``labels[n]`` maps each concept id in node n's label to its trace;
-    insertion order doubles as the deterministic scan order.  The agenda
-    ``disjunctions[n]`` lists the disjunctions of that label in the same
-    order, and every one before ``cursors[n]`` is satisfied.  ``edges``
-    maps ``(node, role)`` to the successors and their traces; it is fixed
-    before the search.
+    Only the axioms of ``kb`` in ``mask`` take part; ``seen`` is ``mask``
+    in a traced call and 0 otherwise, so ``bit & seen`` is an axiom's
+    trace.  ``labels[n]`` maps each concept id in node n's label to its
+    trace; insertion order doubles as the deterministic scan order.  The
+    agenda ``disjunctions[n]`` lists the disjunctions of that label in the
+    same order, and every one before ``cursors[n]`` is satisfied.
+    ``edges`` maps ``(node, role)`` to the successors and their traces; it
+    is fixed before the search.  All nodes are built, each with the
+    internalised inclusions, when the graph is: the ABox graph has one per
+    individual and a witness graph one, its root.
+
+    ``ancestors`` holds the label key views of the nodes whose witness
+    chain led to this graph, outermost first (empty for the ABox graph),
+    for blocking.  They are live views, not copies.  That is safe because
+    an ancestor's label changes only when one of its branch points resumes,
+    and those branch points sit below all of its witnesses on the search
+    stack, so the witnesses are dropped first.
 
     Every side of a branch runs on the same graph: ``mark`` records its
     size when the branch point is pushed, and ``undo`` cuts it back to
@@ -314,21 +307,31 @@ class _Graph:
     - a label key is never overwritten, so labels and agendas only grow,
       newest entry last, and dropping what came after the mark (a dict
       pops newest first) leaves them as they were;
-    - a graph's node count is fixed once it is built, because existential
-      witnesses are separate graphs;
+    - no node is added after the graph is built;
     - a branch point's witnesses sit above it on the search stack, so they
       are dropped before it is undone.
     """
 
-    __slots__ = ("run", "labels", "disjunctions", "cursors", "edges", "clash")
+    __slots__ = (
+        "kb", "mask", "seen", "labels", "disjunctions", "cursors", "edges", "ancestors", "clash",
+    )
 
-    def __init__(self, run: _Run, edges: dict[tuple[int, int], dict[int, int]]):
-        self.run = run
-        self.labels: list[dict[int, int]] = []
-        self.disjunctions: list[list[int]] = []
-        self.cursors: list[int] = []
+    def __init__(
+        self, kb: CompiledKB, mask: int, seen: int, edges: dict, size: int, ancestors: tuple
+    ):
+        self.kb = kb
+        self.mask = mask
+        self.seen = seen
+        self.labels: list[dict[int, int]] = [{} for _ in range(size)]
+        self.disjunctions: list[list[int]] = [[] for _ in range(size)]
+        self.cursors = [0] * size
         self.edges = edges
+        self.ancestors = ancestors
         self.clash: int | None = None
+        for node in range(size):
+            for bit, constraint in kb.gcis:
+                if bit & mask:
+                    self.add(node, constraint, bit & seen)
 
     def mark(self) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
         """Each node's label and agenda lengths, and a copy of the cursors."""
@@ -345,21 +348,6 @@ class _Graph:
         self.cursors[:] = cursors
         self.clash = None
 
-    def new_node(self) -> int:
-        run = self.run
-        run.charge_node()
-        node = len(self.labels)
-        self.labels.append({})
-        self.disjunctions.append([])
-        self.cursors.append(0)
-        mask, seen = run.mask, run.seen
-        for bit, constraint in run.kb.gcis:
-            if bit & mask:
-                self.add(node, constraint, bit & seen)
-                if self.clash is not None:
-                    break
-        return node
-
     def add(self, node: int, concept: int, trace: int) -> None:
         """Add a concept to a label, then everything it unfolds to.
 
@@ -369,8 +357,7 @@ class _Graph:
         """
         if self.clash is not None:
             return
-        run = self.run
-        kb = run.kb
+        kb = self.kb
         kind = kb.kind
         stack = None
         while True:
@@ -385,7 +372,7 @@ class _Graph:
                         return
                     unfold = kb.unfold[concept]
                     if unfold:
-                        mask, seen = run.mask, run.seen
+                        mask, seen = self.mask, self.seen
                         if stack is None:
                             stack = []
                         # Indexed: reversed() would allocate an iterator for
@@ -423,8 +410,7 @@ class _Graph:
 
     def next_disjunction(self) -> tuple[int, int] | None:
         """The first unsatisfied disjunction, in node order, then label order."""
-        kb = self.run.kb
-        left, right = kb.left, kb.right
+        left, right = self.kb.left, self.kb.right
         for node, pending in enumerate(self.disjunctions):
             label = self.labels[node]
             at = self.cursors[node]
@@ -436,6 +422,12 @@ class _Graph:
                 at += 1
             self.cursors[node] = at
         return None
+
+
+def _budget_exhausted(node_budget: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"node budget of {node_budget} exhausted", {"nodes_created": node_budget + 1}
+    )
 
 
 def _refute(
@@ -469,22 +461,19 @@ def _refute(
     if goal is not None:
         individual, concept = goal
         asserted.append((nodes.setdefault(individual, len(nodes)), concept, 0))
-    graph = _Graph(_Run(kb, mask, seen, node_budget), edges)
+    # Nodes are made only here and for each witness root, and counted
+    # before the graph that holds them is built.
+    created = len(nodes) or 1
+    if created > node_budget:
+        raise _budget_exhausted(node_budget)
     # The domain is never empty: without individuals, a single anonymous
     # element must still satisfy every inclusion axiom.
-    for _ in range(len(nodes) or 1):
-        graph.new_node()
+    graph = _Graph(kb, mask, seen, edges, created, ())
     for node, concept, trace in asserted:
         graph.add(node, concept, trace)
     kind, left, right, role_of = kb.kind, kb.left, kb.right, kb.role
-    # ``graph`` is the branch being searched and ``ancestors`` the label key
-    # sets of its witness chain, for blocking.  The stack holds pending
-    # witnesses as ``(graph, ancestors)`` tuples and open branch points as
-    # ``[graph, node, side, trace, closed, ancestors, mark]`` lists, where
-    # ``side`` is the one still to run (-1 once none is left), ``closed``
-    # the union of the clash traces of the sides that ran and ``mark`` the
-    # graph's size before the first side.
-    ancestors: tuple[frozenset, ...] = ()
+    # ``graph`` is the branch being searched; the module docstring gives
+    # the three kinds of stack entry.
     stack: list = []
     while True:
         closed = graph.clash
@@ -497,7 +486,7 @@ def _refute(
                 trace = graph.labels[node][disjunction]
                 side = left[disjunction]
                 if side != right[disjunction]:
-                    stack.append([graph, node, right[disjunction], trace, 0, ancestors, graph.mark()])
+                    stack.append((graph, node, right[disjunction], trace, graph.mark()))
                 graph.add(node, side, trace)
                 continue
             # No disjunction is pending, so every label is final: build the
@@ -506,7 +495,7 @@ def _refute(
             pending = []
             for node in range(len(graph.labels)):
                 label = graph.labels[node]
-                above: tuple[frozenset, ...] | None = None
+                above: tuple | None = None
                 for concept in label:
                     if kind[concept] != _EXISTS:
                         continue
@@ -515,48 +504,48 @@ def _refute(
                     if any(filler in graph.labels[s] for s in edges):
                         continue
                     if above is None:
-                        if any(label.keys() <= keys for keys in ancestors):
+                        if any(label.keys() <= keys for keys in graph.ancestors):
                             break
-                        above = ancestors + (frozenset(label.keys()),)
+                        above = graph.ancestors + (label.keys(),)
+                    created += 1
+                    if created > node_budget:
+                        raise _budget_exhausted(node_budget)
                     trace = label[concept]
-                    witness = _Graph(graph.run, {})
-                    root = witness.new_node()
-                    witness.add(root, filler, trace)
+                    witness = _Graph(kb, mask, seen, {}, 1, above)
+                    witness.add(0, filler, trace)
                     for other, other_trace in label.items():
                         if kind[other] == _FORALL and role_of[other] == role:
-                            witness.add(root, left[other], other_trace | trace)
+                            witness.add(0, left[other], other_trace | trace)
                     closed = witness.clash
                     if closed is not None:
                         break
-                    pending.append((witness, above))
+                    pending.append(witness)
                 if closed is not None:
                     break
             else:
                 # The branch is open: go on with the next pending witness.
                 # A branch point reached first is satisfied by this branch.
                 stack.extend(reversed(pending))
-                while stack and type(stack[-1]) is list:
+                while stack and type(stack[-1]) is not _Graph:
                     stack.pop()
                 if not stack:
                     return None
-                graph, ancestors = stack.pop()
+                graph = stack.pop()
                 continue
-        # A clash closes the branch: pop back to the last open branch point,
-        # dropping the witnesses above it, cut its graph back to the mark and
-        # run the last side.  One with no side left closes with the union of
-        # its sides.
+        # A clash closes the branch: pop back to the last branch point with a
+        # side left, dropping the witnesses above it, cut its graph back to
+        # the mark and run that side.  A branch point whose last side ran
+        # closes with the union of both sides.
         while stack:
-            entry = stack[-1]
-            if type(entry) is list:
-                entry[4] |= closed
-                if entry[2] >= 0:
-                    graph, node, side, trace, _, ancestors, mark = entry
-                    entry[2] = -1
-                    graph.undo(*mark)
-                    graph.add(node, side, trace)
-                    break
-                closed = entry[4]
-            stack.pop()
+            entry = stack.pop()
+            if type(entry) is tuple:
+                graph, node, side, trace, mark = entry
+                stack.append(closed)
+                graph.undo(*mark)
+                graph.add(node, side, trace)
+                break
+            if type(entry) is int:
+                closed |= entry
         else:
             return closed
 

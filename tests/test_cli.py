@@ -179,7 +179,7 @@ class TestBenchCommand:
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "bench", "2", "--json")
         assert code == EXIT_OK
-        rows = json.loads(out.strip().splitlines()[-1])
+        rows = json.loads(out)
         assert rows[0]["n"] == 2
         assert rows[0]["justifications"] == 4
         assert rows[0]["tableau_calls"] == 15

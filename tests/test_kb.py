@@ -35,7 +35,7 @@ from probalc.kb import (
     vocabulary,
 )
 from probalc.generators import random_kb
-from probalc.parser import parse_kb, parse_query
+from probalc.parser import parse_kb, parse_query, serialize_kb
 from probalc.semantics import probability_query
 from probalc.tableau import _AND, CompiledKB, entails, is_consistent, trace_entailment
 
@@ -94,8 +94,8 @@ class TestNnf:
     def test_deep_negated_conjunction(self):
         """``not (A0 and ... and A1499)``: the walk does not recurse per level.
 
-        The chain is checked with a loop, because the generated ``__eq__``
-        of the concepts does recurse.
+        The chain is checked with a loop, so that each atom is seen to be
+        the one it was built from.
         """
         names = [Atomic(f"A{i}") for i in range(1500)]
         conjunction = names[-1]
@@ -275,7 +275,15 @@ class TestKnowledgeBase:
 
 
 class TestConceptHash:
-    """Concepts are plain frozen dataclasses."""
+    """Concepts are frozen dataclasses that compare, hash and print at any depth."""
+
+    def test_deep_concepts_compare_hash_and_print(self):
+        text = "a : " + " and ".join(f"A{i}" for i in range(1500)) + "\n"
+        kb = parse_kb(text)
+        assert parse_kb(text) == kb
+        assert hash(kb.axiom(0)) == hash(parse_kb(text).axiom(0))
+        assert repr(kb).count("Atomic(name=") == 1500
+        assert parse_kb(serialize_kb(kb)) == kb
 
     def test_repr_and_replace_are_unchanged(self):
         c = And(A, Exists("r", Not(B)))

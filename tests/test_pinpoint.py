@@ -24,7 +24,6 @@ from probalc.pinpoint import (
     render_formula,
     satisfies,
     term_masks,
-    variables,
 )
 from probalc.tableau import entails
 
@@ -89,11 +88,6 @@ class TestEvaluation:
         assert satisfies(Var(3), [3])
         assert satisfies(Var(3), (3,))
         assert not satisfies(Var(3), frozenset())
-
-    def test_variables(self):
-        assert variables(CRIME_FORMULA) == frozenset({0, 1, 2})
-        assert variables(TRUE) == frozenset()
-        assert variables(Var(7)) == frozenset({7})
 
     @given(st.sets(st.integers(0, 5)), st.sets(st.integers(0, 5)))
     def test_monotone_in_the_valuation(self, small, extra):

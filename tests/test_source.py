@@ -20,7 +20,6 @@ ALLOWED_RECURSION = {
     "bdd.BddManager.apply_and": _LATER,
     "bdd.BddManager.apply_or": _LATER,
     "pinpoint._eval": _FORMULAS,
-    "pinpoint._collect_vars": _FORMULAS,
     "pinpoint._render": _FORMULAS,
     "generators.random_concept": "its depth is an argument",
 }

@@ -408,7 +408,7 @@ class TestCompiledKB:
 
 def _scan_next_disjunction(graph):
     """Reference: rescan every label for the first unsatisfied disjunction."""
-    kb = graph.run.kb
+    kb = graph.kb
     for node in range(len(graph.labels)):
         label = graph.labels[node]
         for concept in label:
@@ -479,6 +479,35 @@ def test_undo_restores_the_marked_graph(monkeypatch, crime_kb, crime_query):
         for method in ("glassbox", "blackbox"):
             all_justifications(kb, query, method)
     assert undos > 1000, undos
+
+
+# ---------------------------------------------------------------------------
+# Blocking against live views of the ancestors' labels
+
+
+def test_ancestor_labels_hold_while_a_witness_is_searched(monkeypatch, crime_kb, crime_query):
+    """A graph's ancestor label views read as they did when it was built."""
+    init, agenda = _Graph.__init__, _Graph.next_disjunction
+    built = {}
+    checks = 0
+
+    def snapshotted(graph, *args):
+        init(graph, *args)
+        built[id(graph)] = [frozenset(keys) for keys in graph.ancestors]
+
+    def checked(graph):
+        nonlocal checks
+        if graph.ancestors:
+            assert [frozenset(keys) for keys in graph.ancestors] == built[id(graph)]
+            checks += 1
+        return agenda(graph)
+
+    monkeypatch.setattr(_Graph, "__init__", snapshotted)
+    monkeypatch.setattr(_Graph, "next_disjunction", checked)
+    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query)]:
+        for method in ("glassbox", "blackbox"):
+            all_justifications(kb, query, method)
+    assert checks > 1000, checks
 
 
 # ---------------------------------------------------------------------------
