@@ -19,12 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-from .bdd import BddManager
 from .generators import chain_query, generate_synthetic, random_kb
 from .justify import METHODS, CoveringSet
 from .parser import ParseError, parse_kb, parse_query, render_annotated, serialize_kb
 from .pinpoint import render_formula
-from .semantics import ENGINES, RunConfig, WorldLimitError, probability_query
+from .semantics import ENGINES, RunConfig, probability_query
 from .tableau import Deadline, ResourceLimitError, is_consistent
 
 EXIT_OK = 0
@@ -115,8 +114,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     config = RunConfig(method=args.method, engine=args.engine, timeout_s=args.timeout)
     result = probability_query(kb, query, config)
     if args.dot:
-        manager = BddManager(len(kb.prob_indices))
-        args.dot.write_text(manager.to_dot(manager.build(result.formula)))
+        args.dot.write_text(result.manager.to_dot(result.root))
     formula_text = render_formula(result.formula)
     if args.json:
         payload = {
@@ -168,7 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         query = chain_query(n)
         try:
             result = probability_query(kb, query, config)
-        except (ResourceLimitError, WorldLimitError):
+        except ResourceLimitError:
             if not args.json:
                 print(f"{n:>4} {len(kb):>7} {'--':>7} {'--':>6} {'--':>16} {'--':>9}")
             rows.append({"n": n, "timeout": True})
@@ -225,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         verb = "read" if "kb" in args and error.filename == str(args.kb) else "write"
         message = f"cannot {verb} {error.filename}: {error.strerror or error}"
         code = EXIT_PARSE
-    except (ResourceLimitError, WorldLimitError, RecursionError) as error:
+    except (ResourceLimitError, RecursionError) as error:
         message, code = f"aborted: {error}", EXIT_RESOURCE
     except MemoryError:
         # str(MemoryError()) is empty, so the message names the cause itself.

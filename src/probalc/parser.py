@@ -237,9 +237,12 @@ def parse_kb(text: str) -> KnowledgeBase:
             number = parser.take()
             parser.take()
             probability = float(number)
+            # Errors point at the number, two tokens back.
             if not (0.0 <= probability <= 1.0):
-                # At the number, two tokens back.
                 raise parser.error(f"probability {number} outside [0, 1]", -2)
+            # A nonzero mantissa that float rounds to 0.0 would not round-trip.
+            if probability == 0.0 and number.upper().split("E")[0].strip("0."):
+                raise parser.error(f"probability {number} underflows to 0", -2)
         elif parser.peek() == "number":
             raise parser.error("expected '::' after probability", 1)
         axiom = parser.axiom()

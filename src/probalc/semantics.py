@@ -22,16 +22,16 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .bdd import BddManager
-from .justify import METHODS, CoveringSet, all_justifications, DEFAULT_HST_BUDGET
+from .justify import METHODS, CoveringSet, all_justifications
 from .kb import KnowledgeBase, Query
 from .pinpoint import Formula, formula_from_justifications
-from .tableau import DEFAULT_NODE_BUDGET, Deadline, entails
+from .tableau import DEFAULT_NODE_BUDGET, Deadline, ResourceLimitError, entails
 
 DEFAULT_WORLD_LIMIT = 20
 ENGINES = ("bdd", "bruteforce")
 
 
-class WorldLimitError(Exception):
+class WorldLimitError(ResourceLimitError):
     """Too many annotated axioms for exhaustive world enumeration."""
 
 
@@ -127,14 +127,11 @@ def probability_bruteforce(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one query run; defaults match the documented budgets."""
+    """Settings of one query run; each layer keeps its own default budget."""
 
     method: str = "glassbox"
     engine: str = "bdd"
     timeout_s: float = 600.0
-    tableau_node_budget: int = DEFAULT_NODE_BUDGET
-    hst_node_budget: int = DEFAULT_HST_BUDGET
-    world_limit: int = DEFAULT_WORLD_LIMIT
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -151,9 +148,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class QueryResult:
+    """The answer with what it was computed from; ``root`` lives in ``manager``."""
+
     probability: float
     covering: CoveringSet
     formula: Formula
+    manager: BddManager
+    root: int
     bdd_nodes: int
     time_ms: float
     method: str
@@ -165,45 +166,35 @@ def probability_query(
 ) -> QueryResult:
     """Full pipeline: justifications, covering formula, diagram, probability.
 
-    With ``engine="bruteforce"`` the probability comes from world
-    enumeration instead of the diagram; the covering set and formula are
-    still reported.  A query entailed in no world yields probability 0
-    with an empty covering set.  ``config.timeout_s`` bounds the
-    justification search, the diagram compilation and the enumeration.
+    The diagram is built once, with either engine, and returned on the
+    result.  With ``engine="bruteforce"`` the probability comes from world
+    enumeration instead of the diagram, and ``bdd_nodes`` stays 0.  A
+    query entailed in no world yields probability 0 with an empty covering
+    set.  ``config.timeout_s`` bounds the justification search, the
+    diagram compilation and the enumeration.
     """
     if config is None:
         config = RunConfig()
     started = time.monotonic()
     deadline = Deadline.after(config.timeout_s)
-    covering = all_justifications(
-        kb,
-        query,
-        config.method,
-        node_budget=config.tableau_node_budget,
-        hst_node_budget=config.hst_node_budget,
-        deadline=deadline,
-    )
+    covering = all_justifications(kb, query, config.method, deadline=deadline)
     formula = formula_from_justifications(covering, kb)
-    bdd_nodes = 0
+    manager = BddManager(len(kb.prob_indices))
+    root = manager.build(formula, deadline=deadline)
     if config.engine == "bdd":
-        manager = BddManager(len(kb.prob_indices))
-        root = manager.build(formula, deadline=deadline)
         probs = dict(enumerate(kb.probabilities))
         probability = manager.probability(root, probs)
         bdd_nodes = manager.node_count(root)
     else:
-        probability = probability_bruteforce(
-            kb,
-            query,
-            limit=config.world_limit,
-            node_budget=config.tableau_node_budget,
-            deadline=deadline,
-        )
+        probability = probability_bruteforce(kb, query, deadline=deadline)
+        bdd_nodes = 0
     elapsed_ms = (time.monotonic() - started) * 1000.0
     return QueryResult(
         probability=probability,
         covering=covering,
         formula=formula,
+        manager=manager,
+        root=root,
         bdd_nodes=bdd_nodes,
         time_ms=elapsed_ms,
         method=config.method,

@@ -14,9 +14,11 @@ import pytest
 
 import probalc
 from probalc import cli
+from probalc.bdd import BddManager
 from probalc.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 from probalc.generators import generate_synthetic
-from probalc.parser import parse_kb, serialize_kb
+from probalc.parser import parse_kb, parse_query, serialize_kb
+from probalc.semantics import probability_query
 
 from conftest import CRIME_TEXT
 
@@ -102,6 +104,42 @@ class TestQueryCommand:
         dot = dot_path.read_text()
         assert dot.startswith("digraph bdd {")
         assert 'label="x1"' in dot
+
+    @pytest.mark.parametrize(
+        "source, engine", [("crime", "bdd"), ("crime", "bruteforce"), ("chain", "bdd")]
+    )
+    def test_dot_export_builds_one_diagram(
+        self, capsys, monkeypatch, crime_path, tmp_path, source, engine
+    ):
+        """``--dot`` writes the diagram the query built; nothing builds a second one."""
+        path, text = crime_path, QUERY
+        if source == "chain":
+            path, text = tmp_path / "chain.kb", "B0 <= B7"
+            path.write_text(serialize_kb(generate_synthetic(7)))
+        builds = []
+        build = BddManager.build
+
+        def counting_build(self, formula, **kwargs):
+            builds.append(formula)
+            return build(self, formula, **kwargs)
+
+        monkeypatch.setattr(BddManager, "build", counting_build)
+        dot_path = tmp_path / "diagram.dot"
+        code, _, err = run(
+            capsys, "query", str(path), text, "--engine", engine, "--dot", str(dot_path)
+        )
+        assert (code, err, len(builds)) == (EXIT_OK, "", 1)
+        kb = parse_kb(path.read_text())
+        fresh = BddManager(len(kb.prob_indices))
+        formula = probability_query(kb, parse_query(text)).formula
+        assert dot_path.read_text() == fresh.to_dot(fresh.build(formula))
+
+    def test_world_limit_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "chain.kb"
+        path.write_text(serialize_kb(generate_synthetic(7)))
+        code, out, err = run(capsys, "query", str(path), "B0 <= B7", "--engine", "bruteforce")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "aborted: 21 annotated axioms exceed the enumeration cap of 20\n"
 
     def test_kb_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.kb"

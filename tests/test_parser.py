@@ -114,6 +114,19 @@ class TestErrors:
         assert (err.value.line, err.value.column) == (1, 1)
         assert "outside" in err.value.message
 
+    @pytest.mark.parametrize("number", ["1e-400", "10E-400", "0.0001e-330"])
+    def test_probability_that_underflows(self, number):
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"C <= D\n{number} :: a : A\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert err.value.message == f"probability {number} underflows to 0"
+
+    @pytest.mark.parametrize(
+        "number, value", [("0.0", 0.0), ("0e-999", 0.0), ("5e-324", 5e-324)]
+    )
+    def test_zero_and_subnormal_probabilities_parse(self, number, value):
+        assert parse_kb(f"{number} :: a : A\n").probabilities == (value,)
+
     def test_non_numeric_probability(self):
         with pytest.raises(ParseError) as err:
             parse_kb("p :: A <= B\n")

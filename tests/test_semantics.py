@@ -157,7 +157,13 @@ class TestRunConfig:
         assert config.method == "glassbox"
         assert config.engine == "bdd"
         assert config.timeout_s == 600.0
-        assert config.world_limit == DEFAULT_WORLD_LIMIT
+
+    def test_holds_only_the_three_settings(self):
+        assert RunConfig().as_dict() == {
+            "method": "glassbox",
+            "engine": "bdd",
+            "timeout_s": 600.0,
+        }
 
     def test_as_dict_round_trips(self):
         config = RunConfig(method="blackbox", engine="bruteforce")
@@ -196,6 +202,16 @@ class TestProbabilityQuery:
             assert result.bdd_nodes == 3
         else:
             assert result.bdd_nodes == 0
+
+    @pytest.mark.parametrize("engine", ["bdd", "bruteforce"])
+    def test_result_carries_the_diagram(self, crime_kb, crime_query, engine):
+        result = probability_query(crime_kb, crime_query, RunConfig(engine=engine))
+        probs = dict(enumerate(crime_kb.probabilities))
+        assert math.isclose(
+            result.manager.probability(result.root, probs), 0.176, abs_tol=1e-12
+        )
+        assert result.manager.node_count(result.root) == 3
+        assert result.bdd_nodes == (3 if engine == "bdd" else 0)
 
     def test_timeout_covers_the_diagram_step(self, crime_kb, crime_query, monkeypatch):
         """A deadline that passes after the search stops the diagram build."""
