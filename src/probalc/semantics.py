@@ -86,6 +86,13 @@ def choice_probability(choice: Iterable[AtomicChoice], kb: KnowledgeBase) -> flo
     )
 
 
+def _check_world_limit(kb: KnowledgeBase, limit: int = DEFAULT_WORLD_LIMIT) -> None:
+    """Raise WorldLimitError when the KB has more than ``limit`` annotated axioms."""
+    m = len(kb.prob_indices)
+    if m > limit:
+        raise WorldLimitError(f"{m} annotated axioms exceed the enumeration cap of {limit}")
+
+
 def enumerate_worlds(
     kb: KnowledgeBase, limit: int = DEFAULT_WORLD_LIMIT
 ) -> Iterator[tuple[World, float]]:
@@ -94,10 +101,9 @@ def enumerate_worlds(
     Raises WorldLimitError when the KB has more than ``limit`` annotated
     axioms.
     """
+    _check_world_limit(kb, limit)
     probs = kb.probabilities
     m = len(probs)
-    if m > limit:
-        raise WorldLimitError(f"{m} annotated axioms exceed the enumeration cap of {limit}")
     for mask in range(1 << m):
         bits = tuple((mask >> i) & 1 for i in range(m))
         weight = math.prod(
@@ -170,11 +176,15 @@ def probability_query(
     result.  With ``engine="bruteforce"`` the probability comes from world
     enumeration instead of the diagram, and ``bdd_nodes`` stays 0.  A
     query entailed in no world yields probability 0 with an empty covering
-    set.  ``config.timeout_s`` bounds the justification search, the
-    diagram compilation and the enumeration.
+    set.  The bruteforce engine refuses a KB over the enumeration cap
+    before anything else runs.  ``config.timeout_s`` bounds the
+    justification search, the diagram compilation and the enumeration.
     """
     if config is None:
         config = RunConfig()
+    if config.engine == "bruteforce":
+        # Refuse before the search, whose work enumeration would not use.
+        _check_world_limit(kb)
     started = time.monotonic()
     deadline = Deadline.after(config.timeout_s)
     covering = all_justifications(kb, query, config.method, deadline=deadline)

@@ -9,16 +9,28 @@ branching and node generation this way also keeps traces small.
 
 The search runs on a compiled knowledge base (Horrocks & Patel-Schneider,
 *Optimizing description logic subsumption*, J. Logic Comput. 1999, call
-this normalisation and encoding).  Every distinct concept of the axioms
-and of the query's refutation is interned once as an int, with per-id
-tables for its kind, children, role and complement, so a label is a dict
-from ints to traces and the clash check is one int lookup.  The walk
-that interns a concept also puts it in negation normal form, so axioms
-and queries are compiled as they were written.  Axiom ``i`` owns bit
-``1 << i``; one call takes the compiled KB and a bitmask of the axioms
-it may use, and skips every other axiom where it would be used.
-A justification search compiles its KB once and asks about thousands of
-masks; the list-of-axioms API compiles its input on every call.
+this normalisation, simplification and encoding).  Every distinct
+concept of the axioms and of the query's refutation is interned once as
+an int, with per-id tables for its kind, children, role and complement,
+so a label is a dict from ints to traces and the clash check is one int
+lookup.  The walk that interns a concept also puts it in negation normal
+form and simplifies it bottom-up, so axioms and queries are compiled as
+they were written.  An id stands for a simplified normal form, where no
+rule below applies to any part:
+- ``Bottom or X = X``, ``Top or X = Top``, ``X or X = X`` and
+  ``X or not X = Top``;
+- ``Top and X = X``, ``Bottom and X = Bottom``, ``X and X = X`` and
+  ``X and not X = Bottom``;
+- ``exists r. Bottom = Bottom`` and ``forall r. Top = Top``.
+``X`` and ``not X`` are recognised as complementary only where ``X`` is
+an atom or a negated atom.  A disjunction that simplifies away is never
+a branch point, and an inclusion that simplifies to ``Top`` is a
+tautology, left out of the compiled KB, so it never appears in a trace.
+Axiom ``i`` owns bit ``1 << i``; one call takes the compiled KB and a
+bitmask of the axioms it may use, and skips every other axiom where it
+would be used.  A justification search compiles its KB once and asks
+about thousands of masks; the list-of-axioms API compiles its input on
+every call.
 
 Disjunctions wait on an agenda: each node keeps its disjunctions in
 label order with a cursor past the ones already satisfied.  Labels only
@@ -31,9 +43,10 @@ Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
 ``A`` enters a label, ``C`` is added alongside it, so the axiom never
 branches; ``not A`` unfolds nothing.  Every other inclusion is
 internalised as ``not sub or sup`` and added to every node, where the
-search branches on it.  Adding a concept walks what it unfolds to with
-an explicit stack in the pre-order of a recursive descent, so an
-unfolding chain of any length fits in the Python stack.
+search branches on it unless it simplified: ``Top <= C`` adds plain
+``C``, and ``Bottom <= C`` adds nothing.  Adding a concept walks what it
+unfolds to with an explicit stack in the pre-order of a recursive
+descent, so an unfolding chain of any length fits in the Python stack.
 
 Every labeled concept carries a trace: the bitmask of the axioms its
 derivation used, or 0 throughout an untraced call.  Rule applications
@@ -146,11 +159,16 @@ class CompiledKB:
     quantifier, ``right[c]`` the right side of a binary concept, and
     ``role[c]`` a quantifier's role id.  ``comp[c]`` is the id of the
     complement of an atom or the argument of a negation (-1 for the other
-    kinds).  An id stands for a concept in negation normal form, and
-    concepts whose normal forms are structurally equal get one id.
+    kinds).  An id stands for a concept in simplified negation normal
+    form, one that none of the module docstring's rules can shrink, and
+    concepts whose simplified normal forms are structurally equal get one
+    id.  So no disjunction or conjunction has ``Top`` or ``Bottom``, two
+    equal sides or an atom and its negation as its sides, and no
+    existential has the filler ``Bottom`` or universal the filler ``Top``.
 
     Axiom ``i`` owns bit ``1 << i``.  In ascending index order, ``gcis``
-    holds the internalised inclusions as ``(bit, not sub or sup)``,
+    holds the internalised inclusions as ``(bit, not sub or sup)``, but
+    none whose constraint simplifies to ``Top``,
     ``unfold[c]`` the ``(bit, sup)`` pairs of the absorbed inclusions
     whose left side is atom ``c``, and ``abox`` the assertions as
     ``(bit, subject, object, what)``: for a concept assertion the object
@@ -184,7 +202,10 @@ class CompiledKB:
                     sub = self.intern(axiom.sub)
                     self.unfold[sub].append((bit, self.intern(axiom.sup)))
                 else:
-                    self.gcis.append((bit, self.intern(Or(Not(axiom.sub), axiom.sup))))
+                    constraint = self.intern(Or(Not(axiom.sub), axiom.sup))
+                    # A tautology constrains nothing, so it is left out.
+                    if self.kind[constraint] != _TOP:
+                        self.gcis.append((bit, constraint))
             elif t is ConceptAssertion:
                 self.abox.append((bit, self.name(axiom.individual), -1, self.intern(axiom.concept)))
             elif t is RoleAssertion:
@@ -199,18 +220,21 @@ class CompiledKB:
         return self._names.setdefault(text, len(self._names))
 
     def intern(self, concept: Concept) -> int:
-        """The id of ``nnf(concept)``, allocating ids for it and its parts if new.
+        """The id of simplified ``nnf(concept)``, allocating ids for its parts if new.
 
         The concept is normalised while it is walked, with an explicit
         stack whose entries carry a polarity: ``Not`` flips it, and under
         negation And and Or, Exists and Forall, and Top and Bottom swap,
         and an atom stands for its complement.  A binary concept or a
         quantifier waits on the stack as ``(kind, role)`` until its
-        children's ids are done.  Ids are hash-consed bottom-up on
-        ``(kind, left, right, role)`` (an atom on its name), so no concept
-        tree is hashed.  An atom and its negation are interned together,
-        each the other's complement.
+        children's ids are done; then it is simplified, to one of its
+        children or to ``Top`` or ``Bottom`` where a rule applies, and
+        otherwise hash-consed on ``(kind, left, right, role)``.  Ids are
+        made bottom-up (an atom's on its name), so no concept tree is
+        hashed.  An atom and its negation are interned together, each the
+        other's complement.
         """
+        kind = self.kind
         done: list[int] = []
         stack: list = [(concept, True)]
         while stack:
@@ -218,11 +242,28 @@ class CompiledKB:
             t = type(item)
             if t is int:
                 # Build a kind whose children are done; ``arg`` is its role.
+                # A concept that simplifies to one of its children is that id.
                 if arg < 0:
                     right = done.pop()
-                    key = (item, done.pop(), right, -1)
+                    left = done.pop()
+                    # The identity and the absorbing element of the kind.
+                    unit, zero = (_BOTTOM, _TOP) if item == _OR else (_TOP, _BOTTOM)
+                    if kind[left] == zero or kind[right] == unit or left == right:
+                        done.append(left)
+                        continue
+                    if kind[right] == zero or kind[left] == unit:
+                        done.append(right)
+                        continue
+                    if self.comp[left] == right:
+                        key = (zero, -1, -1, -1)
+                    else:
+                        key = (item, left, right, -1)
                 else:
-                    key = (item, done.pop(), -1, arg)
+                    filler = done.pop()
+                    if kind[filler] == (_BOTTOM if item == _EXISTS else _TOP):
+                        done.append(filler)
+                        continue
+                    key = (item, filler, -1, arg)
             elif t is Atomic:
                 atom = self._ids.get(item.name)
                 if atom is None:
@@ -484,10 +525,8 @@ def _refute(
             if pick is not None:
                 node, disjunction = pick
                 trace = graph.labels[node][disjunction]
-                side = left[disjunction]
-                if side != right[disjunction]:
-                    stack.append((graph, node, right[disjunction], trace, graph.mark()))
-                graph.add(node, side, trace)
+                stack.append((graph, node, right[disjunction], trace, graph.mark()))
+                graph.add(node, left[disjunction], trace)
                 continue
             # No disjunction is pending, so every label is final: build the
             # roots of all witnesses first, so that one that clashes outright

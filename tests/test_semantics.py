@@ -225,6 +225,21 @@ class TestProbabilityQuery:
         with pytest.raises(ResourceLimitError, match="deadline"):
             probability_query(crime_kb, crime_query, RunConfig(timeout_s=0.2))
 
+    def test_world_limit_is_checked_before_the_search(self, monkeypatch):
+        """A KB over the enumeration cap is refused before any justification
+        search, whose work the bruteforce engine would throw away."""
+        import probalc.semantics as semantics
+
+        def searched(*args, **kwargs):
+            raise AssertionError("the justification search ran")
+
+        monkeypatch.setattr(semantics, "all_justifications", searched)
+        with pytest.raises(WorldLimitError) as raised:
+            probability_query(
+                generate_synthetic(7), chain_query(7), RunConfig(engine="bruteforce")
+            )
+        assert str(raised.value) == "21 annotated axioms exceed the enumeration cap of 20"
+
     def test_chain_probability(self):
         result = probability_query(generate_synthetic(1), chain_query(1))
         assert math.isclose(result.probability, 0.504, abs_tol=1e-12)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import probalc
+from probalc.cli import main
 from probalc.generators import fuzz_corpus, random_kb, random_query
 from probalc.justify import all_justifications
 from probalc.kb import (
@@ -44,8 +45,13 @@ from probalc.kb import (
 from probalc.parser import parse_kb, parse_query
 from probalc.semantics import probability_bruteforce, probability_query
 from probalc.tableau import (
+    _AND,
     _ATOM,
+    _BOTTOM,
+    _EXISTS,
+    _FORALL,
     _OR,
+    _TOP,
     _Graph,
     CompiledKB,
     Deadline,
@@ -400,6 +406,95 @@ class TestCompiledKB:
         assert compiled.refutation(InstanceQuery("raskolnikov", Atomic("GreatMan"))) == goal
         assert compiled.intern(Not(crime_query.concept)) == goal[1]
         assert len(compiled.kind) == size
+
+
+# ---------------------------------------------------------------------------
+# Simplification while interning
+
+_X = Exists("r", Or(A, B))
+_FOLDS = {
+    "bottom or X": (Or(BOTTOM, _X), _X),
+    "X or bottom": (Or(_X, BOTTOM), _X),
+    "top or X": (Or(TOP, _X), TOP),
+    "X or top": (Or(_X, TOP), TOP),
+    "X or X": (Or(_X, _X), _X),
+    "A or not A": (Or(A, Not(A)), TOP),
+    "not A or A": (Or(Not(A), A), TOP),
+    "top and X": (And(TOP, _X), _X),
+    "X and top": (And(_X, TOP), _X),
+    "bottom and X": (And(BOTTOM, _X), BOTTOM),
+    "X and bottom": (And(_X, BOTTOM), BOTTOM),
+    "X and X": (And(_X, _X), _X),
+    "A and not A": (And(A, Not(A)), BOTTOM),
+    "not A and A": (And(Not(A), A), BOTTOM),
+    "exists bottom": (Exists("r", BOTTOM), BOTTOM),
+    "forall top": (Forall("r", TOP), TOP),
+    "nested": (Exists("r", And(C, BOTTOM)), BOTTOM),
+}
+
+
+class TestSimplification:
+    """An id stands for a simplified normal form, so trivial operands never branch."""
+
+    @pytest.mark.parametrize("concept, simpler", _FOLDS.values(), ids=_FOLDS.keys())
+    def test_rule(self, concept, simpler):
+        compiled = CompiledKB([])
+        assert compiled.intern(concept) == compiled.intern(simpler)
+        # Under negation the dual rule fires.
+        assert compiled.intern(Not(concept)) == compiled.intern(Not(simpler))
+
+    def test_corpus_ids_are_simplified(self):
+        """No compiled concept has an operand that one of the rules removes."""
+        checked = 0
+        for kb, query in fuzz_corpus(2026, 200):
+            compiled = CompiledKB(kb.indexed())
+            compiled.refutation(query)
+            kind, left, right = compiled.kind, compiled.left, compiled.right
+            for concept, k in enumerate(kind):
+                if k in (_OR, _AND):
+                    a, b = left[concept], right[concept]
+                    assert a != b and compiled.comp[a] != b
+                    assert {kind[a], kind[b]}.isdisjoint((_TOP, _BOTTOM))
+                    checked += 1
+                elif k in (_EXISTS, _FORALL):
+                    assert kind[left[concept]] != (_BOTTOM if k == _EXISTS else _TOP)
+        assert checked > 500
+
+    def test_inclusion_of_bottom_is_left_out(self):
+        compiled = CompiledKB([(0, SubClassOf(BOTTOM, And(C, C)))])
+        assert compiled.gcis == []
+
+    def test_inclusion_of_top_adds_its_right_side_unbranched(self):
+        compiled = CompiledKB([(0, SubClassOf(TOP, B))])
+        assert compiled.gcis == [(1, compiled.intern(B))]
+        assert compiled.kind[compiled.gcis[0][1]] == _ATOM
+
+    def test_contradiction_closes_with_its_own_trace(self):
+        indexed = [(0, SubClassOf(A, B)), (1, ConceptAssertion("a", And(A, Not(A))))]
+        compiled = CompiledKB(indexed)
+        assert [compiled.kind[what] for *_, what in compiled.abox] == [_BOTTOM]
+        assert trace_entailment(indexed, InstanceQuery("b", C)) == frozenset({1})
+
+    def test_inconsistent_kb_answers_within_the_budget(self, capsys, tmp_path):
+        """``A <= exists r. (C and Bottom)`` makes ``A`` unsatisfiable and the
+        KB inconsistent.  A search that branches on the trivial operands
+        exhausts the node budget on it."""
+        text = (
+            "forall s. D <= forall s. Top and D and Top\n"
+            "a : exists r. forall r. A\n"
+            "B and A <= A or not B\n"
+            "0.6762526368146975 :: c : C\n"
+            "0.7341479440667513 :: forall r. C <= forall r. exists s. B\n"
+            "not A <= exists r. exists s. D\n"
+            "A <= exists r. (C and Bottom)\n"
+        )
+        path = tmp_path / "folded.kb"
+        path.write_text(text)
+        assert main(["query", str(path), "c : B"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("probability: 1\n")
+        kb, query = parse_kb(text), parse_query("c : B")
+        assert probability_bruteforce(kb, query) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
