@@ -12,11 +12,18 @@ arguments) and frozensets only in returned values.
 
 Each question "does this axiom set entail the query?" is one
 memo-then-reasoner step, ``_Session.ask``.  Entailment is monotone in the
-axiom set, so every set the reasoner has found not to entail the query
-answers all of its subsets; the session keeps the maximal such sets and
-answers a question about a subset of one of them without a reasoner
-call.  Otherwise it makes exactly one call, traced or not, and records a
-"no".
+axiom set, so every set known not to entail the query answers all of its
+subsets; the session keeps the maximal such sets and answers a question
+about a subset of one of them without a reasoner call.  Otherwise it
+makes exactly one call, traced or not.  A "no" comes with a countermodel,
+the tableau's open completion, and is recorded as the set of axioms that
+model satisfies: the question's set plus every other axiom the tableau
+shows that model satisfies, none of which can restore the entailment.  Growing
+each "no" this way, as MUS/MCS enumeration grows a satisfiable subset
+with the solver's model (Marques-Silva et al., *On computing minimal
+correction subsets*, IJCAI 2013), lets one call answer every later
+question inside that set; on the chain family the glass-box route makes
+one call per justification plus one per maximal non-entailing set.
 
 Two routes produce a single justification, both shaped ask, expand
 (black box only), sweep.  The glass-box route asks for the tableau's
@@ -99,9 +106,11 @@ class _Session:
     The knowledge base is compiled once, and every reasoner call passes
     the compiled KB with the question's bitmask.  ``_negative`` holds, as
     bitmasks of axiom indices, the maximal sets known not to entail the
-    query; none of them is a subset of another.  A question about a
-    subset of one of them is answered without a reasoner call.  An
-    exhausted budget raises, so only real answers are recorded.
+    query; none of them is a subset of another.  A "no" is recorded as
+    the set its countermodel satisfies, which contains the question's
+    set and often more.  A question about a subset of one of them is
+    answered without a reasoner call.  An exhausted budget raises, so
+    only real answers are recorded.
     """
 
     __slots__ = (
@@ -129,16 +138,19 @@ class _Session:
                 self.memo_hits += 1
                 return None
         self.tableau_calls += 1
-        budget = {"node_budget": self.node_budget, "deadline": self.deadline}
+        # A "no" appends the axiom set its countermodel satisfies.
+        grown: list[int] = []
+        options = {"node_budget": self.node_budget, "deadline": self.deadline, "grown": grown}
         if traced:
             try:
-                return trace_entailment(self.compiled, self.query, mask=mask, **budget)
+                return trace_entailment(self.compiled, self.query, mask=mask, **options)
             except NotEntailedError:
                 pass
-        elif entails(self.compiled, self.query, mask=mask, **budget):
+        elif entails(self.compiled, self.query, mask=mask, **options):
             return mask
-        self._negative = [known for known in self._negative if known & ~mask]
-        self._negative.append(mask)
+        satisfied = grown[0]
+        self._negative = [known for known in self._negative if known & ~satisfied]
+        self._negative.append(satisfied)
         return None
 
 

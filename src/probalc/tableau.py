@@ -78,8 +78,9 @@ Patel-Schneider keep their branch points, so no input depth reaches the
 Python stack.  Both sides of a disjunction run on one graph, and the
 type of a stack entry says what it is:
 - a graph is a pending witness;
-- a ``(graph, node, side, trace, mark)`` tuple is a branch point with a
-  side left, ``mark`` being the graph's size before the first side;
+- a ``(graph, node, side, trace, mark, opened)`` tuple is a branch point
+  with a side left, ``mark`` being the graph's size before the first side
+  and ``opened`` the number of open graphs then (below);
 - an int stands for a branch point whose last side is running: the
   union of its first side's clash traces.
 An open branch goes on with the next pending witness, and a branch point
@@ -88,6 +89,25 @@ tuple, dropping the witnesses above it, cuts its graph back to the mark,
 puts the clash in its place and runs the last side; an int reached
 instead closes its branch point with the union of both sides.  No entry
 is changed once pushed.
+
+A call that ends open has found a model: a complete, clash-free graph
+gives one in which every node is an element satisfying every concept in
+its label (the tableau's soundness lemma), blocked nodes included.  The
+search lists the graphs that reached the open state, and a backtrack cuts
+that list back to the branch point's count, as ``undo`` cuts the labels
+back, so at the end it holds exactly the ABox graph and the live witness
+graphs.  When the caller asks for it, an open call reports the axiom set
+that model satisfies: the mask plus each axiom outside it that a check
+shows satisfied, conservatively:
+- an absorbed ``A <= C`` when no node has ``A`` in its label without ``C``;
+- an internalised inclusion when every node's label holds its constraint,
+  or one side of it if the constraint is an ``or``;
+- a concept assertion ``a : C`` when ``a`` has a node with ``C`` in its
+  label;
+- a tautology, left out of the compiled KB, always; a role assertion
+  never.
+That set plus the goal assertion is satisfiable, so it does not entail
+the query either.
 """
 
 from __future__ import annotations
@@ -166,7 +186,8 @@ class CompiledKB:
     equal sides or an atom and its negation as its sides, and no
     existential has the filler ``Bottom`` or universal the filler ``Top``.
 
-    Axiom ``i`` owns bit ``1 << i``.  In ascending index order, ``gcis``
+    Axiom ``i`` owns bit ``1 << i``, and ``axioms`` is the union of the
+    bits of every axiom given.  In ascending index order, ``gcis``
     holds the internalised inclusions as ``(bit, not sub or sup)``, but
     none whose constraint simplifies to ``Top``,
     ``unfold[c]`` the ``(bit, sup)`` pairs of the absorbed inclusions
@@ -177,7 +198,7 @@ class CompiledKB:
     """
 
     __slots__ = (
-        "kind", "left", "right", "role", "comp", "unfold", "gcis", "abox",
+        "kind", "left", "right", "role", "comp", "unfold", "gcis", "abox", "axioms",
         "_ids", "_names", "_query", "_goal",
     )
 
@@ -190,6 +211,7 @@ class CompiledKB:
         self.unfold: list[list[tuple[int, int]]] = []
         self.gcis: list[tuple[int, int]] = []
         self.abox: list[tuple[int, int, int, int]] = []
+        self.axioms = 0
         self._ids: dict[object, int] = {}
         self._names: dict[str, int] = {}
         self._query: Query | None = None
@@ -214,6 +236,7 @@ class CompiledKB:
                 )
             else:
                 raise TypeError(f"not an axiom: {axiom!r}")
+            self.axioms |= bit
 
     def name(self, text: str) -> int:
         """The id of an individual or role name."""
@@ -478,12 +501,15 @@ def _refute(
     goal: tuple[int, int] | None,
     node_budget: int,
     deadline: Deadline | None,
+    grown: list[int] | None = None,
 ) -> int | None:
     """Run the tableau on the axioms of ``kb`` in ``mask`` plus the goal assertion.
 
     Returns None when a clash-free completion graph exists (the axiom set
     is consistent) and the union of one clash trace per explored branch
-    otherwise, a bitmask that is 0 when not ``traced``.
+    otherwise, a bitmask that is 0 when not ``traced``.  When the graph
+    exists and ``grown`` is a list, the axiom set its model satisfies is
+    appended to it (``_satisfied``).
     """
     seen = mask if traced else 0
     # Each individual gets a node at its first mention; a repeated role
@@ -514,8 +540,10 @@ def _refute(
         graph.add(node, concept, trace)
     kind, left, right, role_of = kb.kind, kb.left, kb.right, kb.role
     # ``graph`` is the branch being searched; the module docstring gives
-    # the three kinds of stack entry.
+    # the three kinds of stack entry.  ``opened`` lists the graphs of the
+    # live branch that reached the open state.
     stack: list = []
+    opened: list[_Graph] = []
     while True:
         closed = graph.clash
         if closed is None:
@@ -525,7 +553,7 @@ def _refute(
             if pick is not None:
                 node, disjunction = pick
                 trace = graph.labels[node][disjunction]
-                stack.append((graph, node, right[disjunction], trace, graph.mark()))
+                stack.append((graph, node, right[disjunction], trace, graph.mark(), len(opened)))
                 graph.add(node, left[disjunction], trace)
                 continue
             # No disjunction is pending, so every label is final: build the
@@ -564,10 +592,13 @@ def _refute(
             else:
                 # The branch is open: go on with the next pending witness.
                 # A branch point reached first is satisfied by this branch.
+                opened.append(graph)
                 stack.extend(reversed(pending))
                 while stack and type(stack[-1]) is not _Graph:
                     stack.pop()
                 if not stack:
+                    if grown is not None:
+                        grown.append(_satisfied(kb, mask, nodes, opened))
                     return None
                 graph = stack.pop()
                 continue
@@ -578,15 +609,49 @@ def _refute(
         while stack:
             entry = stack.pop()
             if type(entry) is tuple:
-                graph, node, side, trace, mark = entry
+                graph, node, side, trace, mark, count = entry
                 stack.append(closed)
                 graph.undo(*mark)
+                del opened[count:]
                 graph.add(node, side, trace)
                 break
             if type(entry) is int:
                 closed |= entry
         else:
             return closed
+
+
+def _satisfied(kb: CompiledKB, mask: int, nodes: dict[int, int], graphs: list[_Graph]) -> int:
+    """``mask`` plus each axiom outside it that the open graphs' model satisfies.
+
+    ``graphs`` holds the ABox graph first, then the live witness graphs,
+    and ``nodes`` maps individual ids to ABox nodes.  The module docstring
+    gives the checks; each leaves out what it cannot show.
+    """
+    absent = kb.axioms & ~mask
+    if not absent:
+        return mask
+    labels = [label for graph in graphs for label in graph.labels]
+    for sub, pairs in enumerate(kb.unfold):
+        for bit, sup in pairs:
+            if bit & absent and any(sub in label and sup not in label for label in labels):
+                absent &= ~bit
+    for bit, constraint in kb.gcis:
+        if bit & absent:
+            # A disjunction in a complete label has one of its sides there.
+            if kb.kind[constraint] == _OR:
+                one, other = kb.left[constraint], kb.right[constraint]
+            else:
+                one = other = constraint
+            if not all(one in label or other in label for label in labels):
+                absent &= ~bit
+    abox = graphs[0].labels
+    for bit, subject, obj, what in kb.abox:
+        if bit & absent:
+            node = nodes.get(subject)
+            if obj >= 0 or node is None or what not in abox[node]:
+                absent &= ~bit
+    return mask | absent
 
 
 def is_consistent(
@@ -606,15 +671,19 @@ def entails(
     mask: int = -1,
     node_budget: int = DEFAULT_NODE_BUDGET,
     deadline: Deadline | None = None,
+    grown: list[int] | None = None,
 ) -> bool:
     """Does the axiom set entail the query?  Inconsistent sets entail everything.
 
     ``axioms`` is a list, whose i-th axiom owns bit ``1 << i``, or a
     compiled KB; either way only the axioms whose bits are in ``mask``
-    (default: all) take part.
+    (default: all) take part.  When the answer is no and ``grown`` is a
+    list, the bitmask of the axioms the countermodel satisfies, ``mask``
+    included, is appended to it; no superset of ``mask`` within it
+    entails the query either.
     """
     kb = axioms if type(axioms) is CompiledKB else CompiledKB(enumerate(axioms))
-    return _refute(kb, mask, False, kb.refutation(query), node_budget, deadline) is not None
+    return _refute(kb, mask, False, kb.refutation(query), node_budget, deadline, grown) is not None
 
 
 def trace_entailment(
@@ -624,17 +693,19 @@ def trace_entailment(
     mask: int = -1,
     node_budget: int = DEFAULT_NODE_BUDGET,
     deadline: Deadline | None = None,
+    grown: list[int] | None = None,
 ) -> frozenset[int] | int:
     """Axiom indices collected while refuting the negated query.
 
     The returned set always entails the query; it is not necessarily
     minimal.  Given ``(index, axiom)`` pairs it is a set of indices; given
     a compiled KB it is a bitmask within ``mask``.  Raises
-    NotEntailedError when the query is not entailed.
+    NotEntailedError when the query is not entailed, after appending the
+    countermodel's axiom set to ``grown`` as ``entails`` does.
     """
     compiled = type(indexed_axioms) is CompiledKB
     kb = indexed_axioms if compiled else CompiledKB(indexed_axioms)
-    result = _refute(kb, mask, True, kb.refutation(query), node_budget, deadline)
+    result = _refute(kb, mask, True, kb.refutation(query), node_budget, deadline, grown)
     if result is None:
         raise NotEntailedError("query is not entailed by the given axioms")
     if compiled:

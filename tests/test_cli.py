@@ -220,9 +220,9 @@ class TestBenchCommand:
         rows = json.loads(out)
         assert rows[0]["n"] == 2
         assert rows[0]["justifications"] == 4
-        assert rows[0]["tableau_calls"] == 15
+        assert rows[0]["tableau_calls"] == 8
         assert rows[0]["hst_nodes"] == 16
-        assert rows[0]["memo_hits"] == 17
+        assert rows[0]["memo_hits"] == 24
         assert abs(rows[0]["probability"] - 0.504**2) < 1e-9
 
     def test_timeout_rows_print_dashes(self, capsys):

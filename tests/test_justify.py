@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from probalc import justify
 from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
 from probalc.justify import (
     CoveringSet,
@@ -130,7 +131,7 @@ class TestAllJustifications:
         assert len(covering) == 2**n
 
     @pytest.mark.parametrize(
-        "method, crime_calls, chain_calls", [("glassbox", 7, 31), ("blackbox", 6, 39)]
+        "method, crime_calls, chain_calls", [("glassbox", 7, 14), ("blackbox", 6, 26)]
     )
     def test_reasoner_call_counts(self, crime_kb, crime_query, method, crime_calls, chain_calls):
         """One reasoner call per computed node says whether it entails; sweeps do the rest.
@@ -143,7 +144,7 @@ class TestAllJustifications:
         chain = all_justifications(generate_synthetic(3), chain_query(3), method)
         assert (chain.tableau_calls, chain.hst_nodes) == (chain_calls, 44)
 
-    @pytest.mark.parametrize("method, calls", [("glassbox", 289), ("blackbox", 685)])
+    @pytest.mark.parametrize("method, calls", [("glassbox", 142), ("blackbox", 590)])
     def test_chain_seven_counts(self, method, calls):
         """The memo cuts calls, not nodes: the tree and its labels stay the same."""
         covering = all_justifications(generate_synthetic(7), chain_query(7), method)
@@ -151,6 +152,34 @@ class TestAllJustifications:
         assert covering.hst_nodes == 1472
         assert covering.tableau_calls == calls
         assert covering.memo_hits > 0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chain_calls_once_per_justification_and_repair(self, monkeypatch, n):
+        """Each miss grows to a maximal non-entailing set at once.
+
+        Layer i's axioms are 3i (B to P and Q), 3i+1 (P to B) and 3i+2
+        (Q to B), so the maximal non-entailing sets leave out {3i} or
+        {3i+1, 3i+2}: 2n of them, each found by one call.
+        """
+        sessions = []
+
+        class Recorded(_Session):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                sessions.append(self)
+
+        monkeypatch.setattr(justify, "_Session", Recorded)
+        covering = all_justifications(generate_synthetic(n), chain_query(n))
+        assert len(covering) == 2**n
+        assert covering.tableau_calls == 2**n + 2 * n
+        (session,) = sessions
+        everything = (1 << 3 * n) - 1
+        left_out = sorted(everything & ~known for known in session._negative)
+        assert left_out == sorted(
+            [bits(3 * i) for i in range(n)] + [bits(3 * i + 1, 3 * i + 2) for i in range(n)]
+        )
 
     def test_unknown_method_on_an_unentailed_query(self, crime_kb):
         with pytest.raises(ValueError):
@@ -255,6 +284,23 @@ class TestSessionMemo:
     def test_an_untraced_answer_is_the_mask_itself(self, session):
         assert session.ask(bits(0, 1, 2, 3), False) == bits(0, 1, 2, 3)
         assert session.ask(bits(0, 1, 3), False) == bits(0, 1, 3)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_miss_records_what_its_countermodel_satisfies(self, session, traced):
+        """Without axiom 1 nothing is a Nihilist, so the model also satisfies axiom 0."""
+        assert session.ask(bits(2, 3), traced) is None
+        assert session._negative == [bits(0, 2, 3)]
+        assert session.ask(bits(0, 2, 3), not traced) is None
+        assert session.ask(bits(0, 2), traced) is None
+        assert (session.tableau_calls, session.memo_hits) == (1, 2)
+
+    def test_a_grown_set_replaces_the_sets_it_contains(self, session):
+        assert session.ask(bits(2), False) is None
+        assert session.ask(bits(3), False) is None
+        assert session._negative == [bits(0, 2), bits(0, 3)]
+        assert session.ask(bits(2, 3), False) is None
+        assert session._negative == [bits(0, 2, 3)]
+        assert session.tableau_calls == 3
 
 
 class TestInvariants:

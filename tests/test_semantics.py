@@ -118,17 +118,29 @@ class TestWorlds:
         assert len(entailing) == 3
         assert math.isclose(sum(entailing), 0.176, abs_tol=1e-12)
 
+    @staticmethod
+    def annotated_kb(count: int) -> KnowledgeBase:
+        return KnowledgeBase(
+            tuple(
+                AnnotatedAxiom(SubClassOf(Atomic(f"A{i}"), Atomic(f"B{i}")), 0.5)
+                for i in range(count)
+            )
+        )
+
     def test_world_limit(self):
-        entries = tuple(
-            AnnotatedAxiom(SubClassOf(Atomic(f"A{i}"), Atomic(f"B{i}")), 0.5)
-            for i in range(DEFAULT_WORLD_LIMIT + 1)
-        )
-        kb = KnowledgeBase(entries)
+        """The cap refuses one axiom too many; a limit equal to the count admits it.
+
+        The admitting side is shown on 3 axioms, since enumerating the
+        2**21 worlds of the default cap plus one takes seconds.
+        """
         with pytest.raises(WorldLimitError):
-            list(enumerate_worlds(kb))
-        assert len(list(enumerate_worlds(kb, limit=DEFAULT_WORLD_LIMIT + 1))) == 2 ** (
-            DEFAULT_WORLD_LIMIT + 1
-        )
+            list(enumerate_worlds(self.annotated_kb(DEFAULT_WORLD_LIMIT + 1)))
+        small = self.annotated_kb(3)
+        worlds = list(enumerate_worlds(small, limit=3))
+        assert len(worlds) == 8
+        assert math.isclose(sum(w for _, w in worlds), 1.0, abs_tol=1e-12)
+        with pytest.raises(WorldLimitError):
+            list(enumerate_worlds(small, limit=2))
 
 
 class TestBruteForce:

@@ -409,6 +409,123 @@ class TestCompiledKB:
 
 
 # ---------------------------------------------------------------------------
+# The axiom set an open call's countermodel satisfies
+
+
+def _grown(axioms, query, absent):
+    """Indices the countermodel satisfies when the axioms at ``absent`` are left out."""
+    mask = (1 << len(axioms)) - 1 & ~sum(1 << i for i in absent)
+    grown: list[int] = []
+    assert not entails(axioms, query, mask=mask, grown=grown)
+    (satisfied,) = grown
+    assert satisfied & mask == mask
+    return _indices(satisfied)
+
+
+class TestCountermodel:
+    """An open call reports its mask plus every absent axiom its model satisfies."""
+
+    QUERY = InstanceQuery("a", B)
+
+    def test_absorbed_inclusion(self):
+        axioms = [SubClassOf(A, C), SubClassOf(Atomic("D"), C), ConceptAssertion("a", A)]
+        # ``a`` has A without C; no node has D.
+        assert _grown(axioms, self.QUERY, {0, 1}) == {1, 2}
+
+    def test_concept_assertion_needs_a_node_holding_the_concept(self):
+        axioms = [
+            ConceptAssertion("a", C),
+            ConceptAssertion("b", C),
+            ConceptAssertion("a", A),
+            SubClassOf(A, C),
+        ]
+        # ``b`` has no node, so nothing is known of it.
+        assert _grown(axioms, self.QUERY, {0, 1}) == {0, 2, 3}
+
+    def test_role_assertion_is_never_grown(self):
+        axioms = [RoleAssertion("a", "b", "r"), ConceptAssertion("a", A), ConceptAssertion("b", A)]
+        assert _grown(axioms, self.QUERY, {0}) == {1, 2}
+
+    def test_internalised_inclusion_needs_every_node(self):
+        axioms = [
+            SubClassOf(Not(A), C),  # internalised as ``A or C``
+            SubClassOf(TOP, A),  # internalised as plain ``A``
+            RoleAssertion("a", "b", "r"),
+            ConceptAssertion("a", A),
+            ConceptAssertion("b", A),
+        ]
+        assert _grown(axioms, self.QUERY, {0, 1}) == {0, 1, 2, 3, 4}
+        # ``b`` holds neither A nor C.
+        assert _grown(axioms, self.QUERY, {0, 1, 4}) == {2, 3}
+
+    def test_witness_nodes_are_model_elements(self):
+        D = Atomic("D")
+        axioms = [SubClassOf(TOP, A), ConceptAssertion("a", A), ConceptAssertion("a", Exists("r", D))]
+        # The witness for ``exists r. D`` lacks A.
+        assert _grown(axioms, self.QUERY, {0}) == {1, 2}
+        assert _grown(axioms + [SubClassOf(D, A)], self.QUERY, {0}) == {0, 1, 2, 3}
+
+    def test_graphs_of_an_undone_side_do_not_count(self):
+        """The first side opens a witness holding X, then closes deeper down.
+
+        Only the second side's graphs form the model, and none holds X.
+        """
+        X, Q = Atomic("X"), Atomic("Q")
+        D1, D2 = Atomic("D1"), Atomic("D2")
+        closes_below = And(Exists("t", Q), Forall("t", Not(Q)))
+        axioms = [
+            SubClassOf(X, Atomic("Y")),
+            ConceptAssertion("a", Or(D1, D2)),
+            SubClassOf(D1, Exists("r", X)),
+            SubClassOf(D1, Exists("s", closes_below)),
+        ]
+        assert _grown(axioms, self.QUERY, {0}) == {0, 1, 2, 3}
+
+    def test_only_a_miss_reports(self, crime_kb, crime_query):
+        compiled = CompiledKB(crime_kb.indexed())
+        grown: list[int] = []
+        assert entails(compiled, crime_query, grown=grown)
+        trace_entailment(compiled, crime_query, grown=grown)
+        assert grown == []
+        # A call over the whole KB has nothing to grow: it reports its mask.
+        assert not entails(compiled, InstanceQuery("alyona", Atomic("GreatMan")), grown=grown)
+        assert grown == [-1]
+
+    def test_a_traced_miss_reports_the_same_set(self, crime_kb, crime_query):
+        compiled = CompiledKB(crime_kb.indexed())
+        for mask in range(16):
+            untraced: list[int] = []
+            if entails(compiled, crime_query, mask=mask, grown=untraced):
+                continue
+            traced: list[int] = []
+            with pytest.raises(NotEntailedError):
+                trace_entailment(compiled, crime_query, mask=mask, grown=traced)
+            assert traced == untraced
+
+    def test_grown_sets_do_not_entail_the_query(self):
+        """Soundness oracle: a freshly compiled KB agrees that no grown set entails the query."""
+        rng = random.Random(2026)
+        corpora = itertools.chain(fuzz_corpus(2026, 200), fuzz_corpus(7, 200, max_axioms=12))
+        missed = grew = 0
+        for kb, query in corpora:
+            compiled = CompiledKB(kb.indexed())
+            for _ in range(10):
+                mask = rng.getrandbits(len(kb))
+                grown: list[int] = []
+                if entails(compiled, query, mask=mask, grown=grown):
+                    assert grown == []
+                    continue
+                (satisfied,) = grown
+                assert satisfied & mask == mask
+                assert satisfied >> len(kb) == 0
+                assert not entails(CompiledKB(kb.indexed()), query, mask=satisfied)
+                missed += 1
+                grew += satisfied != mask
+        # Both outcomes must be common for the check to mean anything.
+        assert 1000 <= missed and 500 <= grew < missed
+
+
+# ---------------------------------------------------------------------------
 # Simplification while interning
 
 _X = Exists("r", Or(A, B))
