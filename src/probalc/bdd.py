@@ -21,7 +21,9 @@ operation and no apply cache is needed.  ``apply_and``, ``apply_or`` and
 The probability of the function is computed by one bottom-up pass: at a
 node for variable i with annotation p_i, the value is p_i times the high
 branch's value plus (1 - p_i) times the low branch's value.  Sharing
-makes the pass linear in the diagram size.  The probability pass,
+makes the pass linear in the diagram size.  It runs in floats; a caller
+whose float answer underflows to 0 can run it again in ``decimal``
+(``exact_probability``).  The probability pass,
 ``node_count`` and ``complement`` each loop over one list of the
 reachable nodes, children first.  That list, ``build``, ``one_paths`` and
 ``to_dot`` use explicit stacks, so a diagram's depth is not bounded by
@@ -35,6 +37,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 from .pinpoint import Formula, term_masks
 
 if TYPE_CHECKING:
+    from decimal import Decimal
+
     from .tableau import Deadline
 
 FALSE_REF = 0
@@ -203,10 +207,26 @@ class BddManager:
         Pass a dict as ``memo`` to observe the per-node values of the
         traversal afterwards.
         """
-        if memo is None:
-            memo = {}
+        return self._weigh(ref, probs, {} if memo is None else memo, float)
+
+    def exact_probability(self, ref: int, probs: Mapping[int, float]) -> Decimal:
+        """``probability`` computed in ``decimal``, whose exponent range no product leaves.
+
+        The float pass rounds a small but nonzero answer to 0; this one
+        keeps 28 significant digits at any magnitude.
+        """
+        # Imported here, since only an answer that underflows needs it.
+        from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+        with localcontext(Context(Emin=MIN_EMIN, Emax=MAX_EMAX)):
+            return self._weigh(ref, probs, {}, Decimal)
+
+    def _weigh(
+        self, ref: int, probs: Mapping[int, float], memo: dict, number: Callable
+    ) -> float | Decimal:
+        """The probability pass, children first, in ``number`` arithmetic."""
         if ref <= TRUE_REF:
-            return float(ref)
+            return number(ref)
         entries = self._entries
         for r in self._postorder(ref):
             if r in memo:
@@ -220,9 +240,10 @@ class BddManager:
                 ) from None
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} outside [0, 1]")
-            high_value = memo[high] if high > TRUE_REF else float(high)
-            low_value = memo[low] if low > TRUE_REF else float(low)
-            memo[r] = p * high_value + (1.0 - p) * low_value
+            p = number(p)
+            high_value = memo[high] if high > TRUE_REF else number(high)
+            low_value = memo[low] if low > TRUE_REF else number(low)
+            memo[r] = p * high_value + (1 - p) * low_value
         return memo[ref]
 
     def node_count(self, ref: int) -> int:

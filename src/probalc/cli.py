@@ -17,13 +17,14 @@ import argparse
 import json
 import os
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from pathlib import Path
 
 from .generators import chain_query, generate_synthetic, random_kb
 from .justify import METHODS, CoveringSet
 from .parser import ParseError, parse_kb, parse_query, render_annotated, serialize_kb
 from .pinpoint import render_formula
-from .semantics import ENGINES, RunConfig, probability_query
+from .semantics import ENGINES, QueryResult, RunConfig, probability_query
 from .tableau import Deadline, ResourceLimitError, is_consistent
 
 EXIT_OK = 0
@@ -108,6 +109,13 @@ def _justification_lines(kb, covering: CoveringSet) -> list[str]:
     return lines
 
 
+def _probability_text(result: QueryResult) -> str:
+    """The answer to 12 significant digits, exact when the float one underflowed."""
+    if result.exact is None:
+        return f"{result.probability:.12g}"
+    return f"{Context(prec=12, Emin=MIN_EMIN, Emax=MAX_EMAX).normalize(result.exact):g}"
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     kb = parse_kb(args.kb.read_text(encoding="utf-8"))
     query = parse_query(args.query)
@@ -128,9 +136,11 @@ def cmd_query(args: argparse.Namespace) -> int:
             "time_ms": result.time_ms,
             "config": config.as_dict(),
         }
+        if result.exact is not None:
+            payload["exact_probability"] = _probability_text(result)
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"probability: {result.probability:.12g}")
+        print(f"probability: {_probability_text(result)}")
         print(f"justifications ({len(result.covering)}):")
         for line in _justification_lines(kb, result.covering):
             print(f"  {line}")

@@ -25,6 +25,18 @@ correction subsets*, IJCAI 2013), lets one call answer every later
 question inside that set; on the chain family the glass-box route makes
 one call per justification plus one per maximal non-entailing set.
 
+Most such questions are settled without being asked.  One pass over the
+known sets (``_Session.necessary``) names every axiom of a set whose
+removal leaves a subset of a known set, the check MUS extraction makes
+when it reads necessary clauses off models (Belov & Marques-Silva,
+*Accelerating MUS extraction with recursive model rotation*, FMCAD
+2011).  The deletion sweep takes it once per justification and keeps
+those axioms without asking; the tree takes it once per node, and again
+after a child's reasoner call, and closes each child whose removed axiom
+it names.  Each answer read this way counts as one memo hit, the one
+asking would have scored, so the counters and the tree are those of
+asking every question.
+
 Two routes produce a single justification, both shaped ask, expand
 (black box only), sweep.  The glass-box route asks for the tableau's
 axiom trace, which is also the entailment test.  The black-box route
@@ -42,11 +54,11 @@ order without calling the reasoner.  Each queued node carries a bitmask
 over the ordinals of the justifications its path meets.  When it is
 taken from the queue it tests only those found since it was queued, and
 a child adds the ones containing its removed axiom (a bitmask per
-axiom), so that one is found with a few integer operations.  The memo
-closes a path that contains a closed leaf's path (Reiter's pruning,
-since the leaf's reduced knowledge base does not entail the query) and
-answers most deletion-sweep checks.  The traversal terminates with
-exactly the set of all justifications.
+axiom), so that one is found with a few integer operations.  The known
+non-entailing sets close a path that contains a closed leaf's path
+(Reiter's pruning, since the leaf's reduced knowledge base does not
+entail the query) and settle most deletion-sweep checks.  The traversal
+terminates with exactly the set of all justifications.
 """
 
 from __future__ import annotations
@@ -153,6 +165,23 @@ class _Session:
         self._negative.append(satisfied)
         return None
 
+    def necessary(self, mask: int) -> int:
+        """The axioms of ``mask`` whose removal leaves a subset of a known non-entailing set.
+
+        One pass over the known sets: axiom ``i`` counts when ``mask``
+        minus ``i`` lies inside one of them, so ``mask`` without ``i``
+        does not entail the query and asking would be a memo hit.  Every
+        axiom counts when ``mask`` itself lies inside one.
+        """
+        needed = 0
+        for known in self._negative:
+            outside = mask & ~known
+            if not outside:
+                return mask
+            if not outside & (outside - 1):
+                needed |= outside
+        return needed
+
 
 def _mask(indices: Iterable[int], size: int) -> int:
     """The bitmask of axiom indices arriving from outside the search."""
@@ -166,7 +195,12 @@ def _mask(indices: Iterable[int], size: int) -> int:
 
 def _bits(mask: int) -> list[int]:
     """The axiom indices in ``mask``, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
 
 
 def minimize(
@@ -192,11 +226,21 @@ def minimize(
 
 
 def _minimize(session: _Session, mask: int) -> int:
-    """The deletion sweep over a set already known to entail the query."""
-    for index in _bits(mask):
-        reduced = mask & ~(1 << index)
-        if session.ask(reduced, False) is not None:
-            mask = reduced
+    """The deletion sweep over a set already known to entail the query.
+
+    The axioms the memo already shows necessary are kept, one memo hit
+    each, and the sweep asks about the rest in ascending order.  Known
+    non-entailing sets only grow, so each skipped question would have
+    been a memo hit at its turn.
+    """
+    needed = session.necessary(mask)
+    session.memo_hits += needed.bit_count()
+    rest = mask & ~needed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if session.ask(mask ^ low, False) is not None:
+            mask ^= low
     return mask
 
 
@@ -285,8 +329,9 @@ def all_justifications(
     containing = [0] * len(kb)
 
     def discovered(just: int) -> None:
+        ordinal_bit = 1 << len(found)
         for i in _bits(just):
-            containing[i] |= 1 << len(found)
+            containing[i] |= ordinal_bit
         found.append(just)
 
     def justifications() -> frozenset[Justification]:
@@ -307,9 +352,18 @@ def all_justifications(
                 hit |= 1 << k
         # Justifications found from here on avoid this path, since each is
         # found below a child of this node, so each child's hit only adds
-        # the ones that contain its removed axiom.
-        for removed in _bits(label):
-            new_path = path | 1 << removed
+        # the ones that contain its removed axiom.  ``closing`` holds the
+        # removals whose reduced knowledge base the memo already shows
+        # non-entailing; only a reasoner call adds a known set, so it is
+        # read again only after one.  Such a child is a closed leaf: no
+        # found justification, which entails, fits in a non-entailing set,
+        # so its path meets them all and the reuse rule cannot apply.
+        closing, read_at = 0, -1
+        rest = label
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            new_path = path | low
             if new_path in visited_paths:
                 continue
             visited_paths.add(new_path)
@@ -324,7 +378,12 @@ def all_justifications(
                         "memo_hits": session.memo_hits,
                     },
                 )
-            new_hit = hit | containing[removed]
+            if read_at != session.tableau_calls:
+                closing, read_at = session.necessary(everything & ~path), session.tableau_calls
+            if closing & low:
+                session.memo_hits += 1
+                continue
+            new_hit = hit | containing[low.bit_length() - 1]
             disjoint = ~new_hit & ((1 << len(found)) - 1)
             if disjoint:
                 reused = found[(disjoint & -disjoint).bit_length() - 1]

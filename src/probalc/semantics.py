@@ -11,7 +11,7 @@ world and asks the tableau; it is exponential in the number of annotated
 axioms and refuses more than a configurable cap.  The pipeline engine
 compiles the covering set of justifications into a monotone DNF, builds
 its decision diagram and reads the probability off the diagram in one
-pass.
+pass, in floats, and again in ``decimal`` when the floats underflow to 0.
 """
 
 from __future__ import annotations
@@ -19,13 +19,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .bdd import BddManager
+from .bdd import FALSE_REF, BddManager
 from .justify import METHODS, CoveringSet, all_justifications
 from .kb import KnowledgeBase, Query
 from .pinpoint import Formula, formula_from_justifications
 from .tableau import DEFAULT_NODE_BUDGET, Deadline, ResourceLimitError, entails
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 DEFAULT_WORLD_LIMIT = 20
 ENGINES = ("bdd", "bruteforce")
@@ -154,7 +157,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class QueryResult:
-    """The answer with what it was computed from; ``root`` lives in ``manager``."""
+    """The answer with what it was computed from; ``root`` lives in ``manager``.
+
+    ``exact`` is the diagram's probability in ``decimal`` when the float
+    pass rounded a nonzero answer to 0, and None otherwise.
+    """
 
     probability: float
     covering: CoveringSet
@@ -165,6 +172,7 @@ class QueryResult:
     time_ms: float
     method: str
     engine: str
+    exact: Decimal | None = None
 
 
 def probability_query(
@@ -191,9 +199,12 @@ def probability_query(
     formula = formula_from_justifications(covering, kb)
     manager = BddManager(len(kb.prob_indices))
     root = manager.build(formula, deadline=deadline)
+    exact = None
     if config.engine == "bdd":
         probs = dict(enumerate(kb.probabilities))
         probability = manager.probability(root, probs)
+        if probability == 0.0 and root != FALSE_REF:
+            exact = manager.exact_probability(root, probs) or None
         bdd_nodes = manager.node_count(root)
     else:
         probability = probability_bruteforce(kb, query, deadline=deadline)
@@ -209,4 +220,5 @@ def probability_query(
         time_ms=elapsed_ms,
         method=config.method,
         engine=config.engine,
+        exact=exact,
     )

@@ -511,6 +511,10 @@ def _refute(
     exists and ``grown`` is a list, the axiom set its model satisfies is
     appended to it (``_satisfied``).
     """
+    # A refutation can clash while its first graph is built, before the
+    # loop's check, so an expired deadline is caught here first.
+    if deadline is not None:
+        deadline.check()
     seen = mask if traced else 0
     # Each individual gets a node at its first mention; a repeated role
     # assertion keeps the first one's trace.

@@ -294,6 +294,22 @@ class TestProbability:
         m = BddManager(1)
         assert m.probability(TRUE_REF, {}) == 1.0
         assert m.probability(FALSE_REF, {}) == 0.0
+        assert m.exact_probability(TRUE_REF, {}) == 1
+        assert m.exact_probability(FALSE_REF, {}) == 0
+
+    def test_exact_pass_agrees_with_the_float_pass(self):
+        m = BddManager(3)
+        ref = m.build(CRIME_FORMULA)
+        exact = m.exact_probability(ref, CRIME_PROBS)
+        assert math.isclose(float(exact), m.probability(ref, CRIME_PROBS), rel_tol=1e-15)
+
+    def test_exact_pass_survives_float_underflow(self):
+        m = BddManager(3)
+        ref = m.build(Conj((Var(0), Var(1), Var(2))))
+        probs = {0: 1e-200, 1: 1e-200, 2: 1e-200}
+        assert m.probability(ref, probs) == 0.0
+        exact = m.exact_probability(ref, probs)
+        assert math.isclose(float(exact.scaleb(600)), 1.0, rel_tol=1e-12)
 
     def test_missing_probability(self):
         m = BddManager(2)

@@ -61,9 +61,21 @@ class TestQueryCommand:
         assert payload["formula"] == "(x1 & x2) | (x1 & x3)"
         assert payload["bdd_nodes"] == 3
         assert (payload["tableau_calls"], payload["hst_nodes"], payload["memo_hits"]) == (7, 7, 6)
+        assert "exact_probability" not in payload
         assert payload["time_ms"] >= 0.0
         assert payload["config"]["method"] == "glassbox"
         assert payload["config"]["engine"] == "bdd"
+
+    def test_an_underflowing_answer_prints_its_exact_value(self, capsys, tmp_path):
+        """Two 1e-200 choices multiply to 1e-400, which a float pass rounds to 0."""
+        path = tmp_path / "tiny.kb"
+        path.write_text("1e-200 :: a : A\n1e-200 :: a : B\n")
+        code, out, _ = run(capsys, "query", str(path), "a : A and B")
+        assert code == EXIT_OK
+        assert out.startswith("probability: 1e-400\n")
+        code, out, _ = run(capsys, "query", str(path), "a : A and B", "--json")
+        payload = json.loads(out)
+        assert (payload["probability"], payload["exact_probability"]) == (0.0, "1e-400")
 
     def test_json_output_is_stable_except_for_timing(self, capsys, crime_path):
         payloads = []

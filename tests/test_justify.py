@@ -14,6 +14,7 @@ import pytest
 from probalc import justify
 from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
 from probalc.justify import (
+    METHODS,
     CoveringSet,
     _Session,
     all_justifications,
@@ -151,7 +152,59 @@ class TestAllJustifications:
         assert len(covering) == 128
         assert covering.hst_nodes == 1472
         assert covering.tableau_calls == calls
-        assert covering.memo_hits > 0
+        assert covering.memo_hits == {"glassbox": 3122, "blackbox": 3890}[method]
+
+    @pytest.mark.parametrize(
+        "n, method, work",
+        [
+            (8, "glassbox", (272, 3328, 7152)),
+            (9, "glassbox", (530, 7424, 16110)),
+            (8, "blackbox", (1296, 3328, 8944)),
+            (9, "blackbox", (2834, 7424, 20206)),
+        ],
+    )
+    def test_chain_work_is_pinned(self, n, method, work):
+        """``(tableau_calls, hst_nodes, memo_hits)``: the search's exact work."""
+        covering = all_justifications(generate_synthetic(n), chain_query(n), method)
+        assert len(covering) == 2**n
+        assert (covering.tableau_calls, covering.hst_nodes, covering.memo_hits) == work
+
+    def test_fuzz_work_is_pinned(self):
+        """Summed ``(tableau_calls, hst_nodes, memo_hits)`` per corpus and method.
+
+        The closed leaves and sweep checks read off the known non-entailing
+        sets must count as the memo hits their questions would have been.
+        """
+        work = {}
+        for seed in (1, 7):
+            for method in METHODS:
+                totals = [0, 0, 0]
+                for kb, query in fuzz_corpus(seed, 150):
+                    covering = all_justifications(kb, query, method)
+                    totals[0] += covering.tableau_calls
+                    totals[1] += covering.hst_nodes
+                    totals[2] += covering.memo_hits
+                work[seed, method] = totals
+        assert work == {
+            (1, "glassbox"): [347, 191, 57],
+            (1, "blackbox"): [727, 177, 84],
+            (7, "glassbox"): [286, 129, 19],
+            (7, "blackbox"): [562, 127, 51],
+        }
+
+    def test_chain_asks_only_questions_the_reasoner_answers(self, monkeypatch):
+        """Closed leaves and necessary axioms are read off the known sets, not asked."""
+        asked = []
+        ask = _Session.ask
+
+        def counted(self, mask, traced):
+            asked.append(mask)
+            return ask(self, mask, traced)
+
+        monkeypatch.setattr(_Session, "ask", counted)
+        covering = all_justifications(generate_synthetic(7), chain_query(7))
+        assert covering.tableau_calls == 142
+        assert len(asked) == 142
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_chain_calls_once_per_justification_and_repair(self, monkeypatch, n):
@@ -301,6 +354,53 @@ class TestSessionMemo:
         assert session.ask(bits(2, 3), False) is None
         assert session._negative == [bits(0, 2, 3)]
         assert session.tableau_calls == 3
+
+    def test_necessary_axioms_are_read_off_the_known_sets(self, session):
+        """{0, 2, 3} and {1, 2, 3} are maximal non-entailing sets."""
+        assert session.necessary(bits(0, 1, 2, 3)) == 0
+        assert session.ask(bits(2, 3), False) is None
+        assert session.ask(bits(1, 2, 3), False) is None
+        assert session._negative == [bits(0, 2, 3), bits(1, 2, 3)]
+        calls, hits = session.tableau_calls, session.memo_hits
+        # The justifications {0, 1, 2} and {0, 1, 3} both need 0 and 1.
+        assert session.necessary(bits(0, 1, 2, 3)) == bits(0, 1)
+        # {0, 1} lies in neither known set, so 2 is not yet shown necessary.
+        assert session.necessary(bits(0, 1, 2)) == bits(0, 1)
+        # A set inside a known one does not entail; neither does any subset.
+        assert session.necessary(bits(0, 2)) == bits(0, 2)
+        assert (session.tableau_calls, session.memo_hits) == (calls, hits)
+
+    def test_necessary_agrees_with_the_tableau(self, session, crime_kb, crime_query):
+        """Each axiom it names is one without which the set does not entail.
+
+        It names exactly those whose removal leaves a subset of a known set,
+        and reading them makes no call.
+        """
+        assert session.ask(bits(2, 3), False) is None
+        assert session.ask(bits(1, 2, 3), False) is None
+        calls, hits = session.tableau_calls, session.memo_hits
+        for size in range(5):
+            for subset in itertools.combinations(range(4), size):
+                mask = bits(*subset)
+                needed = session.necessary(mask)
+                for i in subset:
+                    reduced = mask & ~bits(i)
+                    inside = any(not reduced & ~known for known in session._negative)
+                    assert bool(needed >> i & 1) == inside
+                    if inside:
+                        rest = [j for j in subset if j != i]
+                        assert not entails(crime_kb.axioms_at(rest), crime_query)
+                assert not needed & ~mask
+        assert (session.tableau_calls, session.memo_hits) == (calls, hits)
+
+    def test_a_certified_sweep_makes_no_call(self, session):
+        """Every axiom of {0, 1, 2} is necessary once {0, 1} has no third partner."""
+        for left_out in (bits(0), bits(1), bits(2)):
+            assert session.ask(bits(0, 1, 2) & ~left_out, False) is None
+        calls, hits = session.tableau_calls, session.memo_hits
+        assert session.necessary(bits(0, 1, 2)) == bits(0, 1, 2)
+        assert justify._minimize(session, bits(0, 1, 2)) == bits(0, 1, 2)
+        assert (session.tableau_calls, session.memo_hits) == (calls, hits + 3)
 
 
 class TestInvariants:

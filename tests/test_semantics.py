@@ -16,6 +16,7 @@ from probalc.generators import (
     random_query,
 )
 from probalc.kb import (
+    And,
     AnnotatedAxiom,
     Atomic,
     ConceptAssertion,
@@ -204,6 +205,7 @@ class TestProbabilityQuery:
             crime_kb, crime_query, RunConfig(method=method, engine=engine)
         )
         assert math.isclose(result.probability, 0.176, abs_tol=1e-12)
+        assert result.exact is None
         assert result.covering.justifications == frozenset(
             {frozenset({0, 1, 2}), frozenset({0, 1, 3})}
         )
@@ -259,8 +261,21 @@ class TestProbabilityQuery:
     def test_unentailed_query(self, crime_kb):
         result = probability_query(crime_kb, InstanceQuery("alyona", Atomic("GreatMan")))
         assert result.probability == 0.0
+        assert result.exact is None
         assert len(result.covering) == 0
         assert result.bdd_nodes == 0
+
+    def test_an_underflowing_answer_is_kept_exact(self):
+        """Two 1e-200 choices multiply to 1e-400, below the smallest float."""
+        kb = KnowledgeBase(
+            tuple(
+                AnnotatedAxiom(ConceptAssertion("a", Atomic(name)), 1e-200) for name in "AB"
+            )
+        )
+        query = InstanceQuery("a", And(Atomic("A"), Atomic("B")))
+        result = probability_query(kb, query)
+        assert result.probability == 0.0
+        assert math.isclose(float(result.exact.scaleb(400)), 1.0, rel_tol=1e-12)
 
     def test_certain_axioms_do_not_change_the_probability(self):
         base = KnowledgeBase(

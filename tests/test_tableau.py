@@ -22,7 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 import probalc
 from probalc.cli import main
-from probalc.generators import fuzz_corpus, random_kb, random_query
+from probalc.generators import (
+    chain_query,
+    fuzz_corpus,
+    generate_synthetic,
+    random_kb,
+    random_query,
+)
 from probalc.justify import all_justifications
 from probalc.kb import (
     And,
@@ -255,6 +261,12 @@ class TestBudgets:
                 crime_query,
                 deadline=Deadline(at=0.0),
             )
+
+    def test_expired_deadline_before_a_clash_at_build(self):
+        """The chain's refutation clashes while its first graph is built."""
+        kb = generate_synthetic(3)
+        with pytest.raises(ResourceLimitError):
+            entails(axioms_of(kb), chain_query(3), deadline=Deadline(at=0.0))
 
     def test_generous_budget_is_invisible(self, crime_certain_kb, crime_query):
         assert entails(
