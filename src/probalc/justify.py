@@ -31,9 +31,9 @@ removal leaves a subset of a known set, the check MUS extraction makes
 when it reads necessary clauses off models (Belov & Marques-Silva,
 *Accelerating MUS extraction with recursive model rotation*, FMCAD
 2011).  The deletion sweep takes it once per justification and keeps
-those axioms without asking; the tree takes it once per node, and again
-after a child's reasoner call, and closes each child whose removed axiom
-it names.  Each answer read this way counts as one memo hit, the one
+those axioms without asking; the tree takes it once per node, and after
+a child's reasoner call reads only the sets recorded since, and closes
+each child whose removed axiom it names.  Each answer read this way counts as one memo hit, the one
 asking would have scored, so the counters and the tree are those of
 asking every question.
 
@@ -50,15 +50,20 @@ recomputes a justification over the reduced knowledge base; when that
 step finds no entailment, the child is a closed leaf.  Paths that repeat
 an already-visited removal set are pruned, and a node whose removal path
 misses some known justification reuses the first such one in discovery
-order without calling the reasoner.  Each queued node carries a bitmask
-over the ordinals of the justifications its path meets.  When it is
-taken from the queue it tests only those found since it was queued, and
-a child adds the ones containing its removed axiom (a bitmask per
-axiom), so that one is found with a few integer operations.  The known
-non-entailing sets close a path that contains a closed leaf's path
-(Reiter's pruning, since the leaf's reduced knowledge base does not
-entail the query) and settle most deletion-sweep checks.  The traversal
-terminates with exactly the set of all justifications.
+order without calling the reasoner.  A queued node is its path and its
+label.  When it is taken from the queue, the justifications its path
+meets are the OR of one bitmask per path axiom (bit k set when the k-th
+justification found contains the axiom), so the work follows the path's
+length, not the number found; a child adds the ones containing its
+removed axiom, and the reuse test is a few integer operations.  The
+children the known non-entailing sets already close are settled first,
+in one pass per node: those removing a core axiom, one every
+justification holds, are only counted, the others are looked up in the
+visited set once.  The known non-entailing sets close a path that
+contains a closed leaf's path (Reiter's pruning, since the leaf's reduced
+knowledge base does not entail the query) and settle most deletion-sweep
+checks.  The traversal terminates with exactly the set of all
+justifications.
 """
 
 from __future__ import annotations
@@ -121,12 +126,16 @@ class _Session:
     query; none of them is a subset of another.  A "no" is recorded as
     the set its countermodel satisfies, which contains the question's
     set and often more.  A question about a subset of one of them is
-    answered without a reasoner call.  An exhausted budget raises, so
-    only real answers are recorded.
+    answered without a reasoner call.  ``recorded`` lists every "no" so
+    recorded, in order, and only grows, so a reader can go on from where
+    it stopped.  ``core`` holds the axioms whose removal alone is known to
+    break the entailment: every justification contains them.  An exhausted
+    budget raises, so only real answers are recorded.
     """
 
     __slots__ = (
-        "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits", "_negative"
+        "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits",
+        "everything", "core", "recorded", "_negative",
     )
 
     def __init__(self, kb, query, node_budget, deadline):
@@ -137,6 +146,9 @@ class _Session:
         self.deadline = deadline
         self.tableau_calls = 0
         self.memo_hits = 0
+        self.everything = (1 << len(kb)) - 1
+        self.core = 0
+        self.recorded: list[int] = []
         self._negative: list[int] = []
 
     def ask(self, mask: int, traced: bool) -> int | None:
@@ -163,18 +175,25 @@ class _Session:
         satisfied = grown[0]
         self._negative = [known for known in self._negative if known & ~satisfied]
         self._negative.append(satisfied)
+        self.recorded.append(satisfied)
+        left_out = self.everything & ~satisfied
+        if not left_out & (left_out - 1):
+            self.core |= left_out
         return None
 
-    def necessary(self, mask: int) -> int:
+    def necessary(self, mask: int, since: int | None = None) -> int:
         """The axioms of ``mask`` whose removal leaves a subset of a known non-entailing set.
 
         One pass over the known sets: axiom ``i`` counts when ``mask``
         minus ``i`` lies inside one of them, so ``mask`` without ``i``
         does not entail the query and asking would be a memo hit.  Every
-        axiom counts when ``mask`` itself lies inside one.
+        axiom counts when ``mask`` itself lies inside one.  With ``since``,
+        only ``recorded[since:]`` is read: every known set is recorded and
+        every recorded set lies inside a known one, so a read taken when
+        ``recorded`` had ``since`` entries, ORed with this one, is a read now.
         """
         needed = 0
-        for known in self._negative:
+        for known in self._negative if since is None else self.recorded[since:]:
             outside = mask & ~known
             if not outside:
                 return mask
@@ -319,47 +338,84 @@ def all_justifications(
     """
     _check_method(method)
     session = _Session(kb, query, node_budget, deadline)
-    everything = (1 << len(kb)) - 1
+    everything = session.everything
     root = _single(session, everything, method)
     if root is None:
         return CoveringSet(frozenset(), session.tableau_calls, 0, session.memo_hits)
     # Discovery order makes node reuse deterministic.  containing[i] has
     # bit k set when the k-th justification found contains axiom i.
     found: list[int] = []
+    found_sets: list[Justification] = []
     containing = [0] * len(kb)
 
     def discovered(just: int) -> None:
         ordinal_bit = 1 << len(found)
-        for i in _bits(just):
+        indices = _bits(just)
+        for i in indices:
             containing[i] |= ordinal_bit
         found.append(just)
+        found_sets.append(frozenset(indices))
 
-    def justifications() -> frozenset[Justification]:
-        return frozenset(frozenset(_bits(just)) for just in found)
+    def exhausted() -> ResourceLimitError:
+        return ResourceLimitError(
+            f"hitting set tree budget of {hst_node_budget} exhausted",
+            {
+                "justifications": frozenset(found_sets),
+                "hst_nodes": hst_nodes,
+                "tableau_calls": session.tableau_calls,
+                "memo_hits": session.memo_hits,
+            },
+        )
 
     discovered(root)
     visited_paths = {0}
     hst_nodes = 1
-    # A queued node carries its path, its label, and ``hit``: bit k set when
-    # the path meets the k-th justification, for the first ``known`` ones.
-    queue: deque[tuple[int, int, int, int]] = deque([(0, root, 0, 1)])
+    recorded = session.recorded
+    queue: deque[tuple[int, int]] = deque([(0, root)])
     while queue:
         if deadline is not None:
             deadline.check()
-        path, label, hit, known = queue.popleft()
-        for k in range(known, len(found)):
-            if found[k] & path:
-                hit |= 1 << k
+        path, label = queue.popleft()
+        # Bit k of hit: the path meets the k-th justification found so far.
+        hit = 0
+        rest = path
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hit |= containing[low.bit_length() - 1]
+        # ``closing`` holds the removals whose reduced knowledge base the
+        # memo already shows non-entailing.  Such a child is a closed leaf
+        # and one memo hit, settled before the others make any call.  A
+        # child removing a core axiom is only counted: a path holding a
+        # core axiom meets every justification and its reduced knowledge
+        # base does not entail, so no node whose path holds one is
+        # expanded, and the path is reached only from its one parent, the
+        # path without that axiom, which generates it once.
+        reduced = everything & ~path
+        closing, read_at = session.necessary(reduced), len(recorded)
+        closed = label & closing
+        core = closed & session.core
+        settled = core.bit_count()
+        rest = closed ^ core
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            new_path = path | low
+            if new_path not in visited_paths:
+                visited_paths.add(new_path)
+                settled += 1
+        hst_nodes += settled
+        session.memo_hits += settled
+        if hst_nodes > hst_node_budget:
+            raise exhausted()
         # Justifications found from here on avoid this path, since each is
         # found below a child of this node, so each child's hit only adds
-        # the ones that contain its removed axiom.  ``closing`` holds the
-        # removals whose reduced knowledge base the memo already shows
-        # non-entailing; only a reasoner call adds a known set, so it is
-        # read again only after one.  Such a child is a closed leaf: no
-        # found justification, which entails, fits in a non-entailing set,
-        # so its path meets them all and the reuse rule cannot apply.
-        closing, read_at = 0, -1
-        rest = label
+        # the ones that contain its removed axiom.  Only a reasoner call
+        # records a known set, so ``closing`` is read again only against
+        # the sets recorded since.  A closed child meets every found
+        # justification, none of which fits in a non-entailing set, so
+        # the reuse rule cannot apply to it.
+        rest = label & ~closing
         while rest:
             low = rest & -rest
             rest ^= low
@@ -369,17 +425,10 @@ def all_justifications(
             visited_paths.add(new_path)
             hst_nodes += 1
             if hst_nodes > hst_node_budget:
-                raise ResourceLimitError(
-                    f"hitting set tree budget of {hst_node_budget} exhausted",
-                    {
-                        "justifications": justifications(),
-                        "hst_nodes": hst_nodes,
-                        "tableau_calls": session.tableau_calls,
-                        "memo_hits": session.memo_hits,
-                    },
-                )
-            if read_at != session.tableau_calls:
-                closing, read_at = session.necessary(everything & ~path), session.tableau_calls
+                raise exhausted()
+            if read_at != len(recorded):
+                closing |= session.necessary(reduced, read_at)
+                read_at = len(recorded)
             if closing & low:
                 session.memo_hits += 1
                 continue
@@ -387,11 +436,11 @@ def all_justifications(
             disjoint = ~new_hit & ((1 << len(found)) - 1)
             if disjoint:
                 reused = found[(disjoint & -disjoint).bit_length() - 1]
-                queue.append((new_path, reused, new_hit, len(found)))
+                queue.append((new_path, reused))
                 continue
             label_for_child = _single(session, everything & ~new_path, method)
             if label_for_child is not None:
                 discovered(label_for_child)
-                queue.append((new_path, label_for_child, new_hit, len(found)))
+                queue.append((new_path, label_for_child))
             # Otherwise the path hits every justification: a closed leaf.
-    return CoveringSet(justifications(), session.tableau_calls, hst_nodes, session.memo_hits)
+    return CoveringSet(frozenset(found_sets), session.tableau_calls, hst_nodes, session.memo_hits)

@@ -11,7 +11,8 @@ world and asks the tableau; it is exponential in the number of annotated
 axioms and refuses more than a configurable cap.  The pipeline engine
 compiles the covering set of justifications into a monotone DNF, builds
 its decision diagram and reads the probability off the diagram in one
-pass, in floats, and again in ``decimal`` when the floats underflow to 0.
+pass.  Both compute in floats, and again in ``decimal`` when the floats
+underflow to 0.
 """
 
 from __future__ import annotations
@@ -124,14 +125,44 @@ def probability_bruteforce(
     deadline: Deadline | None = None,
 ) -> float:
     """Reference answer: sum the weights of the worlds entailing the query."""
+    return _bruteforce(kb, query, limit=limit, node_budget=node_budget, deadline=deadline)[0]
+
+
+def _bruteforce(
+    kb: KnowledgeBase,
+    query: Query,
+    *,
+    limit: int = DEFAULT_WORLD_LIMIT,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    deadline: Deadline | None = None,
+) -> tuple[float, Decimal | None]:
+    """The float sum of the entailing worlds' weights, and its ``decimal`` value when it underflows.
+
+    A sum of weights is 0 only when every entailing world's float weight
+    is, so only those worlds are kept, and only while the sum stays 0.
+    The second value is None unless they weigh more than 0 in ``decimal``.
+    """
     total = 0.0
+    underflowed: list[tuple[int, ...]] = []
     for world, weight in enumerate_worlds(kb, limit):
         if deadline is not None:
             deadline.check()
         axioms = kb.axioms_at(world.axiom_indices(kb))
         if entails(axioms, query, node_budget=node_budget, deadline=deadline):
             total += weight
-    return total
+            if not total:
+                underflowed.append(world.bits)
+    if total or not underflowed:
+        return total, None
+    # Imported here, since only an answer that underflows needs it.
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+    probs = [Decimal(p) for p in kb.probabilities]
+    with localcontext(Context(Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        exact = sum(
+            math.prod(p if bit else 1 - p for p, bit in zip(probs, bits)) for bits in underflowed
+        )
+    return total, exact or None
 
 
 @dataclass(frozen=True)
@@ -159,8 +190,9 @@ class RunConfig:
 class QueryResult:
     """The answer with what it was computed from; ``root`` lives in ``manager``.
 
-    ``exact`` is the diagram's probability in ``decimal`` when the float
-    pass rounded a nonzero answer to 0, and None otherwise.
+    ``exact`` is the probability in ``decimal`` when the float answer
+    rounded a nonzero one to 0, and None otherwise; the diagram's pass or
+    the world sum gives it, as the engine does the float answer.
     """
 
     probability: float
@@ -207,7 +239,7 @@ def probability_query(
             exact = manager.exact_probability(root, probs) or None
         bdd_nodes = manager.node_count(root)
     else:
-        probability = probability_bruteforce(kb, query, deadline=deadline)
+        probability, exact = _bruteforce(kb, query, deadline=deadline)
         bdd_nodes = 0
     elapsed_ms = (time.monotonic() - started) * 1000.0
     return QueryResult(

@@ -416,8 +416,10 @@ class _Graph:
         """Add a concept to a label, then everything it unfolds to.
 
         Children wait on a LIFO stack, pushed in reverse, so labels fill in
-        the pre-order of a recursive descent; a concept with nothing to
-        unfold allocates no stack.
+        the pre-order of a recursive descent.  A child whose pop would come
+        next, the left side of a conjunction or the sole enabled unfolding
+        of an atom with one, is added at once without a push; a concept
+        with nothing to unfold allocates no stack.
         """
         if self.clash is not None:
             return
@@ -436,17 +438,23 @@ class _Graph:
                         return
                     unfold = kb.unfold[concept]
                     if unfold:
-                        mask, seen = self.mask, self.seen
-                        if stack is None:
-                            stack = []
-                        # Indexed: reversed() would allocate an iterator for
-                        # what is most often a single pair.
-                        at = len(unfold)
-                        while at:
-                            at -= 1
-                            bit, sup = unfold[at]
-                            if bit & mask:
-                                stack.append((node, sup, trace | (bit & seen)))
+                        if len(unfold) == 1:
+                            # Its pop would come next, so go on with it here.
+                            bit, sup = unfold[0]
+                            if bit & self.mask:
+                                concept, trace = sup, trace | (bit & self.seen)
+                                continue
+                        else:
+                            mask, seen = self.mask, self.seen
+                            if stack is None:
+                                stack = []
+                            # Indexed: reversed() would allocate an iterator.
+                            at = len(unfold)
+                            while at:
+                                at -= 1
+                                bit, sup = unfold[at]
+                                if bit & mask:
+                                    stack.append((node, sup, trace | (bit & seen)))
                 elif k == _OR:
                     self.disjunctions[node].append(concept)
                 elif k == _AND:

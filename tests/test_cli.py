@@ -77,6 +77,25 @@ class TestQueryCommand:
         payload = json.loads(out)
         assert (payload["probability"], payload["exact_probability"]) == (0.0, "1e-400")
 
+    def test_bruteforce_prints_an_underflowing_answer_exactly(self, capsys, tmp_path):
+        """World enumeration sums the entailing 1e-400 world again in ``decimal``."""
+        path = tmp_path / "tiny.kb"
+        path.write_text("1e-200 :: a : A\n1e-200 :: a : B\n")
+        code, out, _ = run(capsys, "query", str(path), "a : A and B", "--engine", "bruteforce")
+        assert code == EXIT_OK
+        assert out.startswith("probability: 1e-400\n")
+
+    def test_bruteforce_json_reports_an_underflowing_answer_exactly(self, capsys, tmp_path):
+        path = tmp_path / "tiny.kb"
+        path.write_text("1e-200 :: a : A\n1e-200 :: a : B\n")
+        code, out, _ = run(
+            capsys, "query", str(path), "a : A and B", "--engine", "bruteforce", "--json"
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["probability"], payload["exact_probability"]) == (0.0, "1e-400")
+        assert payload["bdd_nodes"] == 0
+
     def test_json_output_is_stable_except_for_timing(self, capsys, crime_path):
         payloads = []
         for _ in range(2):

@@ -104,6 +104,26 @@ class TestSingleJustification:
             single_justification(crime_kb, crime_query, method, subset={0, 1, index})
 
 
+def bits(*indices: int) -> int:
+    return sum(1 << i for i in indices)
+
+
+@pytest.fixture
+def sessions(monkeypatch) -> list[_Session]:
+    """Every ``_Session`` the search creates, in order."""
+    created = []
+
+    class Recorded(_Session):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            created.append(self)
+
+    monkeypatch.setattr(justify, "_Session", Recorded)
+    return created
+
+
 class TestAllJustifications:
     @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
     def test_crime_covering_set(self, crime_kb, crime_query, method):
@@ -161,6 +181,10 @@ class TestAllJustifications:
             (9, "glassbox", (530, 7424, 16110)),
             (8, "blackbox", (1296, 3328, 8944)),
             (9, "blackbox", (2834, 7424, 20206)),
+            (10, "glassbox", (1044, 16384, 35820)),
+            (11, "glassbox", (2070, 35840, 78826)),
+            (10, "blackbox", (6164, 16384, 45036)),
+            (11, "blackbox", (13334, 35840, 99306)),
         ],
     )
     def test_chain_work_is_pinned(self, n, method, work):
@@ -207,23 +231,13 @@ class TestAllJustifications:
         assert len(asked) == 142
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_chain_calls_once_per_justification_and_repair(self, monkeypatch, n):
+    def test_chain_calls_once_per_justification_and_repair(self, sessions, n):
         """Each miss grows to a maximal non-entailing set at once.
 
         Layer i's axioms are 3i (B to P and Q), 3i+1 (P to B) and 3i+2
         (Q to B), so the maximal non-entailing sets leave out {3i} or
         {3i+1, 3i+2}: 2n of them, each found by one call.
         """
-        sessions = []
-
-        class Recorded(_Session):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                sessions.append(self)
-
-        monkeypatch.setattr(justify, "_Session", Recorded)
         covering = all_justifications(generate_synthetic(n), chain_query(n))
         assert len(covering) == 2**n
         assert covering.tableau_calls == 2**n + 2 * n
@@ -264,9 +278,47 @@ class TestAllJustifications:
         with pytest.raises(ResourceLimitError):
             all_justifications(crime_kb, crime_query, deadline=Deadline(at=0.0))
 
+    @pytest.mark.parametrize(
+        "budget, partial_work, mask_sum",
+        [
+            (2, (1, 8, 15, 7), bits(*range(0, 21, 3), *range(1, 21, 3))),
+            (100, (29, 101, 43, 464), 30258893),
+            (700, (99, 701, 113, 1974), 114144933),
+            (1471, (128, 1472, 142, 3122), 153391616),
+        ],
+    )
+    def test_hst_budget_stops_at_a_pinned_point(self, budget, partial_work, mask_sum):
+        """Chain n=7 under a tree budget: ``(justifications, hst_nodes, tableau_calls, memo_hits)``.
 
-def bits(*indices: int) -> int:
-    return sum(1 << i for i in indices)
+        A node settles its closed children before it walks the others, so
+        the budget can run out after a whole batch of closed leaves.  The
+        sum of the justifications' bitmasks pins which ones were found, and
+        each is one of the full covering set.
+        """
+        kb, query = generate_synthetic(7), chain_query(7)
+        with pytest.raises(ResourceLimitError) as excinfo:
+            all_justifications(kb, query, hst_node_budget=budget)
+        partial = excinfo.value.partial
+        found = partial["justifications"]
+        assert (
+            len(found), partial["hst_nodes"], partial["tableau_calls"], partial["memo_hits"]
+        ) == partial_work
+        assert sum(bits(*just) for just in found) == mask_sum
+        assert found <= all_justifications(kb, query).justifications
+
+    @pytest.mark.parametrize("name", ["crime", "chain"])
+    def test_core_axioms_are_the_ones_every_justification_holds(
+        self, sessions, crime_kb, crime_query, name
+    ):
+        """Crime needs axioms 0 and 1; chain n=5 needs each layer's 3i."""
+        if name == "crime":
+            all_justifications(crime_kb, crime_query)
+            core = bits(0, 1)
+        else:
+            all_justifications(generate_synthetic(5), chain_query(5))
+            core = bits(*range(0, 15, 3))
+        (session,) = sessions
+        assert session.core == core
 
 
 class TestSessionMemo:

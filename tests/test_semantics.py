@@ -277,6 +277,24 @@ class TestProbabilityQuery:
         assert result.probability == 0.0
         assert math.isclose(float(result.exact.scaleb(400)), 1.0, rel_tol=1e-12)
 
+    def test_bruteforce_keeps_an_underflowing_answer_exact(self):
+        """The world sum underflows as the diagram's pass does, and is kept the same way."""
+        kb = KnowledgeBase(
+            tuple(
+                AnnotatedAxiom(ConceptAssertion("a", Atomic(name)), 1e-200) for name in "AB"
+            )
+        )
+        query = InstanceQuery("a", And(Atomic("A"), Atomic("B")))
+        result = probability_query(kb, query, RunConfig(engine="bruteforce"))
+        assert (result.probability, result.bdd_nodes) == (0.0, 0)
+        assert math.isclose(float(result.exact.scaleb(400)), 1.0, rel_tol=1e-12)
+        assert probability_bruteforce(kb, query) == 0.0
+
+    def test_bruteforce_leaves_a_zero_answer_without_exact(self, crime_kb):
+        query = InstanceQuery("alyona", Atomic("GreatMan"))
+        result = probability_query(crime_kb, query, RunConfig(engine="bruteforce"))
+        assert (result.probability, result.exact) == (0.0, None)
+
     def test_certain_axioms_do_not_change_the_probability(self):
         base = KnowledgeBase(
             (
