@@ -31,11 +31,10 @@ removal leaves a subset of a known set, the check MUS extraction makes
 when it reads necessary clauses off models (Belov & Marques-Silva,
 *Accelerating MUS extraction with recursive model rotation*, FMCAD
 2011).  The deletion sweep takes it once per justification and keeps
-those axioms without asking; the tree takes it once per node, and after
-a child's reasoner call reads only the sets recorded since, and closes
-each child whose removed axiom it names.  Each answer read this way counts as one memo hit, the one
-asking would have scored, so the counters and the tree are those of
-asking every question.
+those axioms without asking; the tree takes it once per node and closes
+each child whose removed axiom it names.  Each answer read this way
+counts as one memo hit, the one asking would have scored, so the
+counters and the tree are those of asking every question.
 
 Two routes produce a single justification, both shaped ask, expand
 (black box only), sweep.  The glass-box route asks for the tableau's
@@ -57,9 +56,7 @@ justification found contains the axiom), so the work follows the path's
 length, not the number found; a child adds the ones containing its
 removed axiom, and the reuse test is a few integer operations.  The
 children the known non-entailing sets already close are settled first,
-in one pass per node: those removing a core axiom, one every
-justification holds, are only counted, the others are looked up in the
-visited set once.  The known non-entailing sets close a path that
+in one pass over the visited set per node.  The known non-entailing sets close a path that
 contains a closed leaf's path (Reiter's pruning, since the leaf's reduced
 knowledge base does not entail the query) and settle most deletion-sweep
 checks.  The traversal terminates with exactly the set of all
@@ -126,16 +123,13 @@ class _Session:
     query; none of them is a subset of another.  A "no" is recorded as
     the set its countermodel satisfies, which contains the question's
     set and often more.  A question about a subset of one of them is
-    answered without a reasoner call.  ``recorded`` lists every "no" so
-    recorded, in order, and only grows, so a reader can go on from where
-    it stopped.  ``core`` holds the axioms whose removal alone is known to
-    break the entailment: every justification contains them.  An exhausted
-    budget raises, so only real answers are recorded.
+    answered without a reasoner call.  An exhausted budget raises, so
+    only real answers are recorded.
     """
 
     __slots__ = (
         "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits",
-        "everything", "core", "recorded", "_negative",
+        "everything", "_negative",
     )
 
     def __init__(self, kb, query, node_budget, deadline):
@@ -147,8 +141,6 @@ class _Session:
         self.tableau_calls = 0
         self.memo_hits = 0
         self.everything = (1 << len(kb)) - 1
-        self.core = 0
-        self.recorded: list[int] = []
         self._negative: list[int] = []
 
     def ask(self, mask: int, traced: bool) -> int | None:
@@ -175,25 +167,18 @@ class _Session:
         satisfied = grown[0]
         self._negative = [known for known in self._negative if known & ~satisfied]
         self._negative.append(satisfied)
-        self.recorded.append(satisfied)
-        left_out = self.everything & ~satisfied
-        if not left_out & (left_out - 1):
-            self.core |= left_out
         return None
 
-    def necessary(self, mask: int, since: int | None = None) -> int:
+    def necessary(self, mask: int) -> int:
         """The axioms of ``mask`` whose removal leaves a subset of a known non-entailing set.
 
         One pass over the known sets: axiom ``i`` counts when ``mask``
         minus ``i`` lies inside one of them, so ``mask`` without ``i``
         does not entail the query and asking would be a memo hit.  Every
-        axiom counts when ``mask`` itself lies inside one.  With ``since``,
-        only ``recorded[since:]`` is read: every known set is recorded and
-        every recorded set lies inside a known one, so a read taken when
-        ``recorded`` had ``since`` entries, ORed with this one, is a read now.
+        axiom counts when ``mask`` itself lies inside one.
         """
         needed = 0
-        for known in self._negative if since is None else self.recorded[since:]:
+        for known in self._negative:
             outside = mask & ~known
             if not outside:
                 return mask
@@ -334,7 +319,10 @@ def all_justifications(
 
     Returns an empty covering set when the query is not entailed at all.
     Raises ResourceLimitError when the tree budget or deadline runs out,
-    and ValueError for an unknown method name.
+    and ValueError for an unknown method name.  The budget is checked
+    after each node's closed children are counted together, so the
+    partial report's ``hst_nodes`` can exceed ``hst_node_budget`` by up
+    to one label's width.
     """
     _check_method(method)
     session = _Session(kb, query, node_budget, deadline)
@@ -370,7 +358,6 @@ def all_justifications(
     discovered(root)
     visited_paths = {0}
     hst_nodes = 1
-    recorded = session.recorded
     queue: deque[tuple[int, int]] = deque([(0, root)])
     while queue:
         if deadline is not None:
@@ -385,18 +372,10 @@ def all_justifications(
             hit |= containing[low.bit_length() - 1]
         # ``closing`` holds the removals whose reduced knowledge base the
         # memo already shows non-entailing.  Such a child is a closed leaf
-        # and one memo hit, settled before the others make any call.  A
-        # child removing a core axiom is only counted: a path holding a
-        # core axiom meets every justification and its reduced knowledge
-        # base does not entail, so no node whose path holds one is
-        # expanded, and the path is reached only from its one parent, the
-        # path without that axiom, which generates it once.
-        reduced = everything & ~path
-        closing, read_at = session.necessary(reduced), len(recorded)
-        closed = label & closing
-        core = closed & session.core
-        settled = core.bit_count()
-        rest = closed ^ core
+        # and one memo hit, settled before the others make any call.
+        closing = session.necessary(everything & ~path)
+        settled = 0
+        rest = label & closing
         while rest:
             low = rest & -rest
             rest ^= low
@@ -410,11 +389,10 @@ def all_justifications(
             raise exhausted()
         # Justifications found from here on avoid this path, since each is
         # found below a child of this node, so each child's hit only adds
-        # the ones that contain its removed axiom.  Only a reasoner call
-        # records a known set, so ``closing`` is read again only against
-        # the sets recorded since.  A closed child meets every found
-        # justification, none of which fits in a non-entailing set, so
-        # the reuse rule cannot apply to it.
+        # the ones that contain its removed axiom.  A child that a
+        # sibling's reasoner call has closed since ``closing`` was read
+        # meets every found justification, so the reuse rule passes it to
+        # ``_single``, whose ask is the memo hit.
         rest = label & ~closing
         while rest:
             low = rest & -rest
@@ -426,12 +404,6 @@ def all_justifications(
             hst_nodes += 1
             if hst_nodes > hst_node_budget:
                 raise exhausted()
-            if read_at != len(recorded):
-                closing |= session.necessary(reduced, read_at)
-                read_at = len(recorded)
-            if closing & low:
-                session.memo_hits += 1
-                continue
             new_hit = hit | containing[low.bit_length() - 1]
             disjoint = ~new_hit & ((1 << len(found)) - 1)
             if disjoint:

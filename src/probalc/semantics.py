@@ -102,6 +102,9 @@ def enumerate_worlds(
 ) -> Iterator[tuple[World, float]]:
     """All 2**m worlds with their probabilities; weights sum to 1.
 
+    The world at position k, counting from 0, includes ordinal i's axiom
+    when bit i of k is set.
+
     Raises WorldLimitError when the KB has more than ``limit`` annotated
     axioms.
     """
@@ -139,19 +142,21 @@ def _bruteforce(
     """The float sum of the entailing worlds' weights, and its ``decimal`` value when it underflows.
 
     A sum of weights is 0 only when every entailing world's float weight
-    is, so only those worlds are kept, and only while the sum stays 0.
-    The second value is None unless they weigh more than 0 in ``decimal``.
+    is, so only those worlds are kept, as their positions in the
+    enumeration (whose bit i is ordinal i's choice), and only while the
+    sum stays 0.  The second value is None unless they weigh more than 0 in
+    ``decimal``.
     """
     total = 0.0
-    underflowed: list[tuple[int, ...]] = []
-    for world, weight in enumerate_worlds(kb, limit):
+    underflowed: list[int] = []
+    for position, (world, weight) in enumerate(enumerate_worlds(kb, limit)):
         if deadline is not None:
             deadline.check()
         axioms = kb.axioms_at(world.axiom_indices(kb))
         if entails(axioms, query, node_budget=node_budget, deadline=deadline):
             total += weight
             if not total:
-                underflowed.append(world.bits)
+                underflowed.append(position)
     if total or not underflowed:
         return total, None
     # Imported here, since only an answer that underflows needs it.
@@ -160,7 +165,8 @@ def _bruteforce(
     probs = [Decimal(p) for p in kb.probabilities]
     with localcontext(Context(Emin=MIN_EMIN, Emax=MAX_EMAX)):
         exact = sum(
-            math.prod(p if bit else 1 - p for p, bit in zip(probs, bits)) for bits in underflowed
+            math.prod(p if position >> i & 1 else 1 - p for i, p in enumerate(probs))
+            for position in underflowed
         )
     return total, exact or None
 

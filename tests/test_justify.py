@@ -306,20 +306,6 @@ class TestAllJustifications:
         assert sum(bits(*just) for just in found) == mask_sum
         assert found <= all_justifications(kb, query).justifications
 
-    @pytest.mark.parametrize("name", ["crime", "chain"])
-    def test_core_axioms_are_the_ones_every_justification_holds(
-        self, sessions, crime_kb, crime_query, name
-    ):
-        """Crime needs axioms 0 and 1; chain n=5 needs each layer's 3i."""
-        if name == "crime":
-            all_justifications(crime_kb, crime_query)
-            core = bits(0, 1)
-        else:
-            all_justifications(generate_synthetic(5), chain_query(5))
-            core = bits(*range(0, 15, 3))
-        (session,) = sessions
-        assert session.core == core
-
 
 class TestSessionMemo:
     """Sets known not to entail the query answer their subsets without a call.
