@@ -56,11 +56,11 @@ justification found contains the axiom), so the work follows the path's
 length, not the number found; a child adds the ones containing its
 removed axiom, and the reuse test is a few integer operations.  The
 children the known non-entailing sets already close are settled first,
-in one pass over the visited set per node.  The known non-entailing sets close a path that
-contains a closed leaf's path (Reiter's pruning, since the leaf's reduced
-knowledge base does not entail the query) and settle most deletion-sweep
-checks.  The traversal terminates with exactly the set of all
-justifications.
+in one pass over the visited set per node.  The known non-entailing sets
+close a path that contains a closed leaf's path (Reiter's pruning, since
+the leaf's reduced knowledge base does not entail the query) and settle
+most deletion-sweep checks.  The traversal terminates with exactly the
+set of all justifications.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class _Session:
     """
 
     __slots__ = (
-        "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits",
-        "everything", "_negative",
+        "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits", "_negative"
     )
 
     def __init__(self, kb, query, node_budget, deadline):
@@ -140,7 +139,6 @@ class _Session:
         self.deadline = deadline
         self.tableau_calls = 0
         self.memo_hits = 0
-        self.everything = (1 << len(kb)) - 1
         self._negative: list[int] = []
 
     def ask(self, mask: int, traced: bool) -> int | None:
@@ -326,7 +324,7 @@ def all_justifications(
     """
     _check_method(method)
     session = _Session(kb, query, node_budget, deadline)
-    everything = session.everything
+    everything = (1 << len(kb)) - 1
     root = _single(session, everything, method)
     if root is None:
         return CoveringSet(frozenset(), session.tableau_calls, 0, session.memo_hits)
