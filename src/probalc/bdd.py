@@ -35,11 +35,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .pinpoint import Formula, term_masks
+from .tableau import NO_DEADLINE, Deadline
 
 if TYPE_CHECKING:
     from decimal import Decimal
-
-    from .tableau import Deadline
 
 FALSE_REF = 0
 TRUE_REF = 1
@@ -131,7 +130,7 @@ class BddManager:
         self._apply_cache[key] = result
         return result
 
-    def build(self, formula: Formula, *, deadline: Deadline | None = None) -> int:
+    def build(self, formula: Formula, *, deadline: Deadline = NO_DEADLINE) -> int:
         """Compile a monotone formula into its canonical diagram.
 
         The formula is first flattened into its set of terms, one bitmask
@@ -165,8 +164,7 @@ class BddManager:
                 continue
             split = splits.get(current)
             if split is None:
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 used = 0
                 for term in current:
                     used |= term

@@ -55,12 +55,10 @@ meets are the OR of one bitmask per path axiom (bit k set when the k-th
 justification found contains the axiom), so the work follows the path's
 length, not the number found; a child adds the ones containing its
 removed axiom, and the reuse test is a few integer operations.  The
-children the known non-entailing sets already close are settled first,
-in one pass over the visited set per node.  The known non-entailing sets
-close a path that contains a closed leaf's path (Reiter's pruning, since
-the leaf's reduced knowledge base does not entail the query) and settle
-most deletion-sweep checks.  The traversal terminates with exactly the
-set of all justifications.
+known non-entailing sets close a path that contains a closed leaf's path
+(Reiter's pruning, since the leaf's reduced knowledge base does not
+entail the query) and settle most deletion-sweep checks.  The traversal
+terminates with exactly the set of all justifications.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from typing import Iterable, Iterator
 
 from .kb import KnowledgeBase, Query, signature
 from .tableau import (
-    DEFAULT_NODE_BUDGET,
+    NO_DEADLINE,
     CompiledKB,
     Deadline,
     NotEntailedError,
@@ -80,7 +78,8 @@ from .tableau import (
     trace_entailment,
 )
 
-DEFAULT_HST_BUDGET = 100_000
+# The most nodes one hitting set tree may count.
+HST_BUDGET = 100_000
 METHODS = ("glassbox", "blackbox")
 
 Justification = frozenset[int]
@@ -115,7 +114,7 @@ class CoveringSet:
 
 
 class _Session:
-    """Per-query reasoning context: compiled KB, budgets, call counting, memo.
+    """Per-query reasoning context: compiled KB, deadline, call counting, memo.
 
     The knowledge base is compiled once, and every reasoner call passes
     the compiled KB with the question's bitmask.  ``_negative`` holds, as
@@ -127,15 +126,12 @@ class _Session:
     only real answers are recorded.
     """
 
-    __slots__ = (
-        "kb", "query", "compiled", "node_budget", "deadline", "tableau_calls", "memo_hits", "_negative"
-    )
+    __slots__ = ("kb", "query", "compiled", "deadline", "tableau_calls", "memo_hits", "_negative")
 
-    def __init__(self, kb, query, node_budget, deadline):
+    def __init__(self, kb, query, deadline):
         self.kb = kb
         self.query = query
         self.compiled = CompiledKB(kb.indexed())
-        self.node_budget = node_budget
         self.deadline = deadline
         self.tableau_calls = 0
         self.memo_hits = 0
@@ -154,7 +150,7 @@ class _Session:
         self.tableau_calls += 1
         # A "no" appends the axiom set its countermodel satisfies.
         grown: list[int] = []
-        options = {"node_budget": self.node_budget, "deadline": self.deadline, "grown": grown}
+        options = {"deadline": self.deadline, "grown": grown}
         if traced:
             try:
                 return trace_entailment(self.compiled, self.query, mask=mask, **options)
@@ -210,8 +206,7 @@ def minimize(
     kb: KnowledgeBase,
     query: Query,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
 ) -> Justification:
     """Shrink an entailing axiom set to a subset-minimal one.
 
@@ -220,7 +215,7 @@ def minimize(
     candidate does not entail the query in the first place, and
     ValueError for an index outside the knowledge base.
     """
-    session = _Session(kb, query, node_budget, deadline)
+    session = _Session(kb, query, deadline)
     mask = _mask(candidate, len(kb))
     if session.ask(mask, False) is None:
         raise NotEntailedError("candidate does not entail the query")
@@ -252,8 +247,7 @@ def single_justification(
     method: str = "glassbox",
     *,
     subset: Iterable[int] | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
 ) -> Justification:
     """One justification drawn from ``subset`` (default: the whole KB).
 
@@ -262,7 +256,7 @@ def single_justification(
     the knowledge base.
     """
     _check_method(method)
-    session = _Session(kb, query, node_budget, deadline)
+    session = _Session(kb, query, deadline)
     mask = (1 << len(kb)) - 1 if subset is None else _mask(subset, len(kb))
     just = _single(session, mask, method)
     if just is None:
@@ -309,21 +303,17 @@ def all_justifications(
     query: Query,
     method: str = "glassbox",
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    hst_node_budget: int = DEFAULT_HST_BUDGET,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
 ) -> CoveringSet:
     """Every justification of the query, via a hitting set tree.
 
     Returns an empty covering set when the query is not entailed at all.
-    Raises ResourceLimitError when the tree budget or deadline runs out,
-    and ValueError for an unknown method name.  The budget is checked
-    after each node's closed children are counted together, so the
-    partial report's ``hst_nodes`` can exceed ``hst_node_budget`` by up
-    to one label's width.
+    Raises ResourceLimitError when the tree has counted more than
+    ``HST_BUDGET`` nodes or the deadline runs out, and ValueError for an
+    unknown method name.
     """
     _check_method(method)
-    session = _Session(kb, query, node_budget, deadline)
+    session = _Session(kb, query, deadline)
     everything = (1 << len(kb)) - 1
     root = _single(session, everything, method)
     if root is None:
@@ -342,24 +332,12 @@ def all_justifications(
         found.append(just)
         found_sets.append(frozenset(indices))
 
-    def exhausted() -> ResourceLimitError:
-        return ResourceLimitError(
-            f"hitting set tree budget of {hst_node_budget} exhausted",
-            {
-                "justifications": frozenset(found_sets),
-                "hst_nodes": hst_nodes,
-                "tableau_calls": session.tableau_calls,
-                "memo_hits": session.memo_hits,
-            },
-        )
-
     discovered(root)
     visited_paths = {0}
     hst_nodes = 1
     queue: deque[tuple[int, int]] = deque([(0, root)])
     while queue:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         path, label = queue.popleft()
         # Bit k of hit: the path meets the k-th justification found so far.
         hit = 0
@@ -369,29 +347,15 @@ def all_justifications(
             rest ^= low
             hit |= containing[low.bit_length() - 1]
         # ``closing`` holds the removals whose reduced knowledge base the
-        # memo already shows non-entailing.  Such a child is a closed leaf
-        # and one memo hit, settled before the others make any call.
-        closing = session.necessary(everything & ~path)
-        settled = 0
-        rest = label & closing
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            new_path = path | low
-            if new_path not in visited_paths:
-                visited_paths.add(new_path)
-                settled += 1
-        hst_nodes += settled
-        session.memo_hits += settled
-        if hst_nodes > hst_node_budget:
-            raise exhausted()
-        # Justifications found from here on avoid this path, since each is
-        # found below a child of this node, so each child's hit only adds
-        # the ones that contain its removed axiom.  A child that a
-        # sibling's reasoner call has closed since ``closing`` was read
+        # memo already shows non-entailing: each such child is a closed
+        # leaf.  Justifications found from here on avoid this path, since
+        # each is found below a child of this node, so each child's hit
+        # only adds the ones that contain its removed axiom.  A child that
+        # a sibling's reasoner call has closed since ``closing`` was read
         # meets every found justification, so the reuse rule passes it to
         # ``_single``, whose ask is the memo hit.
-        rest = label & ~closing
+        closing = session.necessary(everything & ~path)
+        rest = label
         while rest:
             low = rest & -rest
             rest ^= low
@@ -400,8 +364,20 @@ def all_justifications(
                 continue
             visited_paths.add(new_path)
             hst_nodes += 1
-            if hst_nodes > hst_node_budget:
-                raise exhausted()
+            if hst_nodes > HST_BUDGET:
+                raise ResourceLimitError(
+                    f"hitting set tree budget of {HST_BUDGET} exhausted",
+                    {
+                        "justifications": frozenset(found_sets),
+                        "hst_nodes": hst_nodes,
+                        "tableau_calls": session.tableau_calls,
+                        "memo_hits": session.memo_hits,
+                    },
+                )
+            if low & closing:
+                # The memo hit that asking would have scored.
+                session.memo_hits += 1
+                continue
             new_hit = hit | containing[low.bit_length() - 1]
             disjoint = ~new_hit & ((1 << len(found)) - 1)
             if disjoint:

@@ -8,10 +8,10 @@ weight of the worlds entailing it.
 
 Two engines compute that number.  The reference engine enumerates every
 world and asks the tableau; it is exponential in the number of annotated
-axioms and refuses more than a configurable cap.  The pipeline engine
-compiles the covering set of justifications into a monotone DNF, builds
-its decision diagram and reads the probability off the diagram in one
-pass.  Both compute in floats, and again in ``decimal`` when the floats
+axioms and refuses more than ``WORLD_LIMIT`` of them.  The pipeline
+engine compiles the covering set of justifications into a monotone DNF,
+builds its decision diagram and reads the probability off the diagram in
+one pass.  Both compute in floats, and again in ``decimal`` when the floats
 underflow to 0.
 """
 
@@ -26,12 +26,13 @@ from .bdd import FALSE_REF, BddManager
 from .justify import METHODS, CoveringSet, all_justifications
 from .kb import KnowledgeBase, Query
 from .pinpoint import Formula, formula_from_justifications
-from .tableau import DEFAULT_NODE_BUDGET, Deadline, ResourceLimitError, entails
+from .tableau import NO_DEADLINE, CompiledKB, Deadline, ResourceLimitError, entails
 
 if TYPE_CHECKING:
     from decimal import Decimal
 
-DEFAULT_WORLD_LIMIT = 20
+# The most annotated axioms whose worlds the reference engine enumerates.
+WORLD_LIMIT = 20
 ENGINES = ("bdd", "bruteforce")
 
 
@@ -90,25 +91,23 @@ def choice_probability(choice: Iterable[AtomicChoice], kb: KnowledgeBase) -> flo
     )
 
 
-def _check_world_limit(kb: KnowledgeBase, limit: int = DEFAULT_WORLD_LIMIT) -> None:
-    """Raise WorldLimitError when the KB has more than ``limit`` annotated axioms."""
+def _check_world_limit(kb: KnowledgeBase) -> None:
+    """Raise WorldLimitError when the KB has more than ``WORLD_LIMIT`` annotated axioms."""
     m = len(kb.prob_indices)
-    if m > limit:
-        raise WorldLimitError(f"{m} annotated axioms exceed the enumeration cap of {limit}")
+    if m > WORLD_LIMIT:
+        raise WorldLimitError(f"{m} annotated axioms exceed the enumeration cap of {WORLD_LIMIT}")
 
 
-def enumerate_worlds(
-    kb: KnowledgeBase, limit: int = DEFAULT_WORLD_LIMIT
-) -> Iterator[tuple[World, float]]:
+def enumerate_worlds(kb: KnowledgeBase) -> Iterator[tuple[World, float]]:
     """All 2**m worlds with their probabilities; weights sum to 1.
 
     The world at position k, counting from 0, includes ordinal i's axiom
     when bit i of k is set.
 
-    Raises WorldLimitError when the KB has more than ``limit`` annotated
-    axioms.
+    Raises WorldLimitError when the KB has more than ``WORLD_LIMIT``
+    annotated axioms.
     """
-    _check_world_limit(kb, limit)
+    _check_world_limit(kb)
     probs = kb.probabilities
     m = len(probs)
     for mask in range(1 << m):
@@ -120,24 +119,14 @@ def enumerate_worlds(
 
 
 def probability_bruteforce(
-    kb: KnowledgeBase,
-    query: Query,
-    *,
-    limit: int = DEFAULT_WORLD_LIMIT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
+    kb: KnowledgeBase, query: Query, *, deadline: Deadline = NO_DEADLINE
 ) -> float:
     """Reference answer: sum the weights of the worlds entailing the query."""
-    return _bruteforce(kb, query, limit=limit, node_budget=node_budget, deadline=deadline)[0]
+    return _bruteforce(kb, query, deadline)[0]
 
 
 def _bruteforce(
-    kb: KnowledgeBase,
-    query: Query,
-    *,
-    limit: int = DEFAULT_WORLD_LIMIT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
+    kb: KnowledgeBase, query: Query, deadline: Deadline
 ) -> tuple[float, Decimal | None]:
     """The float sum of the entailing worlds' weights, and its ``decimal`` value when it underflows.
 
@@ -145,15 +134,17 @@ def _bruteforce(
     is, so only those worlds are kept, as their positions in the
     enumeration (whose bit i is ordinal i's choice), and only while the
     sum stays 0.  The second value is None unless they weigh more than 0 in
-    ``decimal``.
+    ``decimal``.  The KB is compiled once, and each world is asked about
+    as the mask of its certain and chosen axioms.
     """
+    compiled = CompiledKB(kb.indexed())
+    certain = sum(1 << i for i in kb.certain_indices)
     total = 0.0
     underflowed: list[int] = []
-    for position, (world, weight) in enumerate(enumerate_worlds(kb, limit)):
-        if deadline is not None:
-            deadline.check()
-        axioms = kb.axioms_at(world.axiom_indices(kb))
-        if entails(axioms, query, node_budget=node_budget, deadline=deadline):
+    for position, (world, weight) in enumerate(enumerate_worlds(kb)):
+        deadline.check()
+        chosen = sum(1 << i for i, bit in zip(kb.prob_indices, world.bits) if bit)
+        if entails(compiled, query, mask=certain | chosen, deadline=deadline):
             total += weight
             if not total:
                 underflowed.append(position)

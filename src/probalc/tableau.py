@@ -71,7 +71,7 @@ cost more than the whole rest of the refutation.  Termination relies on
 ancestor subset-blocking: an existential is never expanded on a node
 whose label is included in an ancestor's label, and each graph holds
 views of its ancestors' labels.  A node budget, counted as graphs are
-built, and an optional cooperative deadline bound runaway inputs.
+built, and a cooperative deadline bound runaway inputs.
 
 One loop runs the whole search over one explicit stack, as Horrocks &
 Patel-Schneider keep their branch points, so no input depth reaches the
@@ -135,7 +135,8 @@ from .kb import (
     Top,
 )
 
-DEFAULT_NODE_BUDGET = 100_000
+# The most completion-graph nodes one call may build.
+NODE_BUDGET = 100_000
 
 # Kinds of interned concepts.  Atoms and negations come first: they are
 # the two kinds whose addition checks for a clash.
@@ -169,6 +170,10 @@ class Deadline:
     def check(self) -> None:
         if time.monotonic() > self.at:
             raise ResourceLimitError("deadline exceeded")
+
+
+# The default of every ``deadline`` keyword: a check that never fires.
+NO_DEADLINE = Deadline(float("inf"))
 
 
 class CompiledKB:
@@ -496,9 +501,9 @@ class _Graph:
         return None
 
 
-def _budget_exhausted(node_budget: int) -> ResourceLimitError:
+def _budget_exhausted() -> ResourceLimitError:
     return ResourceLimitError(
-        f"node budget of {node_budget} exhausted", {"nodes_created": node_budget + 1}
+        f"node budget of {NODE_BUDGET} exhausted", {"nodes_created": NODE_BUDGET + 1}
     )
 
 
@@ -507,8 +512,7 @@ def _refute(
     mask: int,
     traced: bool,
     goal: tuple[int, int] | None,
-    node_budget: int,
-    deadline: Deadline | None,
+    deadline: Deadline,
     grown: list[int] | None = None,
 ) -> int | None:
     """Run the tableau on the axioms of ``kb`` in ``mask`` plus the goal assertion.
@@ -521,8 +525,7 @@ def _refute(
     """
     # A refutation can clash while its first graph is built, before the
     # loop's check, so an expired deadline is caught here first.
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     seen = mask if traced else 0
     # Each individual gets a node at its first mention; a repeated role
     # assertion keeps the first one's trace.
@@ -543,8 +546,8 @@ def _refute(
     # Nodes are made only here and for each witness root, and counted
     # before the graph that holds them is built.
     created = len(nodes) or 1
-    if created > node_budget:
-        raise _budget_exhausted(node_budget)
+    if created > NODE_BUDGET:
+        raise _budget_exhausted()
     # The domain is never empty: without individuals, a single anonymous
     # element must still satisfy every inclusion axiom.
     graph = _Graph(kb, mask, seen, edges, created, ())
@@ -559,8 +562,7 @@ def _refute(
     while True:
         closed = graph.clash
         if closed is None:
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             pick = graph.next_disjunction()
             if pick is not None:
                 node, disjunction = pick
@@ -587,8 +589,8 @@ def _refute(
                             break
                         above = graph.ancestors + (label.keys(),)
                     created += 1
-                    if created > node_budget:
-                        raise _budget_exhausted(node_budget)
+                    if created > NODE_BUDGET:
+                        raise _budget_exhausted()
                     trace = label[concept]
                     witness = _Graph(kb, mask, seen, {}, 1, above)
                     witness.add(0, filler, trace)
@@ -666,14 +668,9 @@ def _satisfied(kb: CompiledKB, mask: int, nodes: dict[int, int], graphs: list[_G
     return mask | absent
 
 
-def is_consistent(
-    axioms: Iterable[Axiom],
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
-) -> bool:
+def is_consistent(axioms: Iterable[Axiom], *, deadline: Deadline = NO_DEADLINE) -> bool:
     """Does the axiom set have a model?"""
-    return _refute(CompiledKB(enumerate(axioms)), -1, False, None, node_budget, deadline) is None
+    return _refute(CompiledKB(enumerate(axioms)), -1, False, None, deadline) is None
 
 
 def entails(
@@ -681,8 +678,7 @@ def entails(
     query: Query,
     *,
     mask: int = -1,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
     grown: list[int] | None = None,
 ) -> bool:
     """Does the axiom set entail the query?  Inconsistent sets entail everything.
@@ -695,7 +691,7 @@ def entails(
     entails the query either.
     """
     kb = axioms if type(axioms) is CompiledKB else CompiledKB(enumerate(axioms))
-    return _refute(kb, mask, False, kb.refutation(query), node_budget, deadline, grown) is not None
+    return _refute(kb, mask, False, kb.refutation(query), deadline, grown) is not None
 
 
 def trace_entailment(
@@ -703,8 +699,7 @@ def trace_entailment(
     query: Query,
     *,
     mask: int = -1,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
     grown: list[int] | None = None,
 ) -> frozenset[int] | int:
     """Axiom indices collected while refuting the negated query.
@@ -717,7 +712,7 @@ def trace_entailment(
     """
     compiled = type(indexed_axioms) is CompiledKB
     kb = indexed_axioms if compiled else CompiledKB(indexed_axioms)
-    result = _refute(kb, mask, True, kb.refutation(query), node_budget, deadline, grown)
+    result = _refute(kb, mask, True, kb.refutation(query), deadline, grown)
     if result is None:
         raise NotEntailedError("query is not entailed by the given axioms")
     if compiled:

@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from probalc import justify
+from probalc import justify, tableau
 from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
 from probalc.justify import (
     METHODS,
@@ -23,7 +23,7 @@ from probalc.justify import (
 )
 from probalc.kb import Atomic, InstanceQuery
 from probalc.tableau import (
-    DEFAULT_NODE_BUDGET,
+    NO_DEADLINE,
     Deadline,
     NotEntailedError,
     ResourceLimitError,
@@ -255,9 +255,10 @@ class TestAllJustifications:
         }
         assert len(results) == 1
 
-    def test_hst_budget_reports_partial_progress(self):
+    def test_hst_budget_reports_partial_progress(self, monkeypatch):
+        monkeypatch.setattr(justify, "HST_BUDGET", 2)
         with pytest.raises(ResourceLimitError) as excinfo:
-            all_justifications(generate_synthetic(3), chain_query(3), hst_node_budget=2)
+            all_justifications(generate_synthetic(3), chain_query(3))
         partial = excinfo.value.partial
         assert partial["justifications"] == frozenset({frozenset({0, 1, 3, 4, 6, 7})})
         assert partial["hst_nodes"] > 2
@@ -271,30 +272,51 @@ class TestAllJustifications:
     @pytest.mark.parametrize(
         "budget, partial_work, mask_sum",
         [
-            (2, (1, 8, 15, 7), 898779),
-            (100, (29, 101, 43, 464), 30258893),
-            (700, (99, 701, 113, 1974), 114144933),
-            (1471, (128, 1472, 142, 3122), 153391616),
+            (2, (1, 3, 15, 1), 898779),
+            (100, (31, 101, 45, 489), 32057639),
+            (700, (99, 701, 113, 1973), 114144933),
+            (1471, (128, 1472, 142, 3121), 153391616),
         ],
     )
-    def test_hst_budget_stops_at_a_pinned_point(self, budget, partial_work, mask_sum):
+    def test_hst_budget_stops_at_a_pinned_point(
+        self, budget, partial_work, mask_sum, monkeypatch
+    ):
         """Chain n=7 under a tree budget: ``(justifications, hst_nodes, tableau_calls, memo_hits)``.
 
-        A node settles its closed children before it walks the others, so
-        the budget can run out after a whole batch of closed leaves.  The
-        sum of the justifications' bitmasks pins which ones were found, and
-        each is one of the full covering set.
+        The budget is checked at every child a node counts, so a run stops
+        at the first node past it.  The sum of the justifications' bitmasks
+        pins which ones were found, and each is one of the full covering
+        set.
         """
         kb, query = generate_synthetic(7), chain_query(7)
+        full = all_justifications(kb, query).justifications
+        monkeypatch.setattr(justify, "HST_BUDGET", budget)
         with pytest.raises(ResourceLimitError) as excinfo:
-            all_justifications(kb, query, hst_node_budget=budget)
+            all_justifications(kb, query)
         partial = excinfo.value.partial
         found = partial["justifications"]
         assert (
             len(found), partial["hst_nodes"], partial["tableau_calls"], partial["memo_hits"]
         ) == partial_work
         assert sum(bits(*just) for just in found) == mask_sum
-        assert found <= all_justifications(kb, query).justifications
+        assert found <= full
+
+    @pytest.mark.parametrize(
+        "n, budgets", [(3, range(1, 41)), (7, (1, 3, 50, 500, 1000, 1471))]
+    )
+    def test_hst_budget_is_exact(self, n, budgets, monkeypatch):
+        """A run stops at the first node past the budget, with part of the covering set."""
+        kb, query = generate_synthetic(n), chain_query(n)
+        full = all_justifications(kb, query)
+        for budget in budgets:
+            assert full.hst_nodes > budget
+            with monkeypatch.context() as patched:
+                patched.setattr(justify, "HST_BUDGET", budget)
+                with pytest.raises(ResourceLimitError) as excinfo:
+                    all_justifications(kb, query)
+            partial = excinfo.value.partial
+            assert partial["hst_nodes"] == budget + 1
+            assert partial["justifications"] <= full.justifications
 
 
 def bits(*indices: int) -> int:
@@ -310,7 +332,7 @@ class TestSessionMemo:
 
     @pytest.fixture
     def session(self, crime_kb, crime_query):
-        return _Session(crime_kb, crime_query, DEFAULT_NODE_BUDGET, None)
+        return _Session(crime_kb, crime_query, NO_DEADLINE)
 
     def test_subsets_of_a_non_entailing_set_are_memo_hits(self, session):
         assert session.ask(bits(1, 2, 3), False) is None
@@ -345,11 +367,11 @@ class TestSessionMemo:
                         assert session.tableau_calls == calls + 1
         assert session.memo_hits > 0
 
-    def test_an_exhausted_budget_is_not_recorded(self, session):
-        session.node_budget = 1
-        with pytest.raises(ResourceLimitError):
-            session.ask(bits(1, 2, 3), False)
-        session.node_budget = DEFAULT_NODE_BUDGET
+    def test_an_exhausted_budget_is_not_recorded(self, session, monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(tableau, "NODE_BUDGET", 1)
+            with pytest.raises(ResourceLimitError):
+                session.ask(bits(1, 2, 3), False)
         assert session.ask(bits(1, 2), False) is None
         assert (session.tableau_calls, session.memo_hits) == (2, 0)
 

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from probalc import semantics
 from probalc.generators import (
     chain_query,
     fuzz_corpus,
@@ -25,8 +26,8 @@ from probalc.kb import (
     SubClassOf,
 )
 from probalc.semantics import (
+    WORLD_LIMIT,
     AtomicChoice,
-    DEFAULT_WORLD_LIMIT,
     RunConfig,
     World,
     WorldLimitError,
@@ -128,20 +129,22 @@ class TestWorlds:
             )
         )
 
-    def test_world_limit(self):
-        """The cap refuses one axiom too many; a limit equal to the count admits it.
+    def test_world_limit(self, monkeypatch):
+        """The cap refuses one axiom too many; a cap equal to the count admits it.
 
-        The admitting side is shown on 3 axioms, since enumerating the
-        2**21 worlds of the default cap plus one takes seconds.
+        The admitting side is shown on 3 axioms with the cap patched, since
+        enumerating the 2**21 worlds of the real cap plus one takes seconds.
         """
         with pytest.raises(WorldLimitError):
-            list(enumerate_worlds(self.annotated_kb(DEFAULT_WORLD_LIMIT + 1)))
+            list(enumerate_worlds(self.annotated_kb(WORLD_LIMIT + 1)))
         small = self.annotated_kb(3)
-        worlds = list(enumerate_worlds(small, limit=3))
+        monkeypatch.setattr(semantics, "WORLD_LIMIT", 3)
+        worlds = list(enumerate_worlds(small))
         assert len(worlds) == 8
         assert math.isclose(sum(w for _, w in worlds), 1.0, abs_tol=1e-12)
+        monkeypatch.setattr(semantics, "WORLD_LIMIT", 2)
         with pytest.raises(WorldLimitError):
-            list(enumerate_worlds(small, limit=2))
+            list(enumerate_worlds(small))
 
 
 class TestBruteForce:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import probalc
+from probalc import tableau
 from probalc.cli import main
 from probalc.generators import (
     chain_query,
@@ -250,9 +251,10 @@ class TestAbsorption:
 
 
 class TestBudgets:
-    def test_node_budget_exhaustion(self, crime_certain_kb):
+    def test_node_budget_exhaustion(self, crime_certain_kb, monkeypatch):
+        monkeypatch.setattr(tableau, "NODE_BUDGET", 1)
         with pytest.raises(ResourceLimitError):
-            is_consistent(axioms_of(crime_certain_kb), node_budget=1)
+            is_consistent(axioms_of(crime_certain_kb))
 
     def test_expired_deadline(self, crime_certain_kb, crime_query):
         with pytest.raises(ResourceLimitError):
