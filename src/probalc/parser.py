@@ -7,6 +7,11 @@ One axiom per line, optionally prefixed with a probability::
     0.6 :: (raskolnikov, alyona) : killed
     # comments run to end of line
 
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only.  The other characters
+``str.splitlines`` breaks at (``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+``\\x85``, ``\\u2028``, ``\\u2029``) are whitespace inside a line, so they
+shift no later line number or axiom index.
+
 Concepts use the keywords ``Top``, ``Bottom``, ``not``, ``and``, ``or``,
 ``exists`` and ``forall``; ``not`` binds tighter than ``and``, which binds
 tighter than ``or``, and a quantifier's filler extends only to the next
@@ -53,170 +58,169 @@ class ParseError(ValueError):
 
 
 _KEYWORDS = frozenset({"not", "and", "or", "exists", "forall", "Top", "Bottom"})
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PUNCTUATION = frozenset({"::", "<=", ":", "(", ")", ",", "."})
 
-# Every character starts a match, the last alternative catching the ones
-# no token starts with, so one ``finditer`` covers the whole text.
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<dcolon>::)
-    | (?P<subsume><=)
-    | (?P<colon>:)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<comma>,)
-    | (?P<dot>\.)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# Whitespace matches nothing and ``\S`` takes any other character alone,
+# so ``findall`` yields every token of a line in order.  A token's kind is
+# its first character's: a digit starts a number, a letter or ``_`` a name
+# or keyword, and any other single character is punctuation or a
+# character no token may contain.
+_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_]*|::|<=|\S")
 
-
-def _tokenize(text: str, line_no: int) -> list[tuple[str, str, int]]:
-    """``(kind, text, column)`` tuples, a keyword's kind being the keyword.
-
-    Three ``end`` tokens close the list, at the column after the last
-    non-blank character: lookahead reaches two tokens past a position
-    that is at most the first of them.
-    """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        value = m.group()
-        if kind == "name":
-            if value in _KEYWORDS:
-                kind = value
-        elif kind == "bad":
-            raise ParseError(line_no, m.start() + 1, f"unexpected character {value!r}")
-        tokens.append((kind, value, m.start() + 1))
-    tokens.extend([("end", "", len(text.rstrip()) + 1)] * 3)
-    return tokens
-
+# Three close every token list: lookahead reaches two tokens past a
+# position that is at most the first of them.
+_END = ("", "", "")
 
 _QUANTIFIERS = {"exists": Exists, "forall": Forall}
 _CONSTANTS = {"Top": TOP, "Bottom": BOTTOM}
 
 
-class _LineParser:
-    def __init__(self, text: str, line_no: int):
-        self.tokens = _tokenize(text, line_no)
-        self.line = line_no
-        self.pos = 0
+class _Syntax(Exception):
+    """A syntax error at a token index, which only the line's text turns into a column."""
 
-    def peek(self, ahead: int = 0) -> str:
-        """The kind of the token ``ahead`` places past the position."""
-        return self.tokens[self.pos + ahead][0]
 
-    def take(self) -> str:
-        """The text of the current token, moving past it."""
-        self.pos += 1
-        return self.tokens[self.pos - 1][1]
+def _syntax_error(body: str, line_no: int, index: int, message: str) -> ParseError:
+    """The ParseError for ``message`` at token ``index`` of the line ``body``.
 
-    def error(self, message: str, ahead: int = 0) -> ParseError:
-        return ParseError(self.line, self.tokens[self.pos + ahead][2], message)
+    A character no token may contain is reported first, wherever it is on
+    the line.  No line holding one parses, since every token the grammar
+    takes is checked, so only a failed line needs to look for it.
+    """
+    matches = list(_TOKEN_RE.finditer(body))
+    for m in matches:
+        t = m.group()
+        if t not in _PUNCTUATION and t[0] not in _NAME_START and not t[0].isdecimal():
+            return ParseError(line_no, m.start() + 1, f"unexpected character {t!r}")
+    if index < len(matches):
+        return ParseError(line_no, matches[index].start() + 1, message)
+    return ParseError(line_no, len(body.rstrip()) + 1, message)
 
-    def expect(self, kind: str, what: str) -> str:
-        if self.peek() != kind:
-            raise self.error(f"expected {what}")
-        return self.take()
 
-    # -- concepts ----------------------------------------------------------
+def _is_name(t: str) -> bool:
+    return t[:1] in _NAME_START and t not in _KEYWORDS
 
-    def concept(self) -> Concept:
-        """``or`` over ``and`` over prefixed primaries, with explicit stacks.
 
-        Each open parenthesis pushes a frame with the disjuncts and
-        conjuncts parsed so far at its level and the prefixes (``not``,
-        quantifiers) waiting for the primary it opens.
-        """
-        frames: list[tuple[list, list, list]] = []
-        disjuncts: list[Concept] = []
-        conjuncts: list[Concept] = []
-        prefixes: list[tuple[type, str | None]] = []
-        while True:
-            kind = self.peek()
-            if kind == "not":
-                self.take()
+def _name(toks: list[str], i: int, what: str) -> str:
+    if not _is_name(toks[i]):
+        raise _Syntax(i, f"expected {what}")
+    return toks[i]
+
+
+def _concept(toks: list[str], i: int, atoms: dict) -> tuple[Concept, int]:
+    """The concept starting at token ``i``, and the index of the token after it.
+
+    ``or`` over ``and`` over prefixed primaries, with explicit stacks.  Each
+    open parenthesis pushes a frame with the disjuncts and conjuncts parsed
+    so far at its level and the prefixes (``not``, quantifiers) waiting for
+    the primary it opens.  ``atoms`` maps ``Top``, ``Bottom`` and every name
+    read so far in this parse to its concept, which is immutable and so
+    shared.
+    """
+    frames: list[tuple[list, list, list]] = []
+    # The operands before the current one at this level: the closed
+    # disjuncts, and the conjuncts of the open disjunct.
+    disjuncts: list[Concept] = []
+    conjuncts: list[Concept] = []
+    prefixes: list[tuple[type, str | None]] = []
+    while True:
+        t = toks[i]
+        i += 1
+        concept = atoms.get(t)
+        if concept is None:
+            if t == "not":
                 prefixes.append((Not, None))
                 continue
-            if kind in _QUANTIFIERS:
-                self.take()
-                role = self.expect("name", "role name")
-                self.expect("dot", "'.' after role name")
-                prefixes.append((_QUANTIFIERS[kind], role))
+            if t in _QUANTIFIERS:
+                role = _name(toks, i, "role name")
+                if toks[i + 1] != ".":
+                    raise _Syntax(i + 1, "expected '.' after role name")
+                prefixes.append((_QUANTIFIERS[t], role))
+                i += 2
                 continue
-            if kind == "lparen":
-                self.take()
+            if t == "(":
                 frames.append((disjuncts, conjuncts, prefixes))
                 disjuncts, conjuncts, prefixes = [], [], []
                 continue
-            if kind == "name":
-                concept = Atomic(self.take())
-            elif kind in _CONSTANTS:
-                self.take()
-                concept = _CONSTANTS[kind]
-            else:
-                raise self.error("expected a concept")
-            # A primary is done: wrap it in its prefixes, then close every
-            # level that the next token ends.
-            while True:
+            concept = atoms[t] = Atomic(_name(toks, i - 1, "a concept"))
+        # A primary is done: wrap it in its prefixes, then close every
+        # level that the next token ends.
+        while True:
+            if prefixes:
                 for ctor, role in reversed(prefixes):
                     concept = ctor(concept) if role is None else ctor(role, concept)
+                prefixes = []
+            t = toks[i]
+            if t == "and":
                 conjuncts.append(concept)
-                kind = self.peek()
-                if kind == "and":
-                    break
-                disjuncts.append(_fold_right(And, conjuncts))
-                if kind == "or":
-                    conjuncts = []
-                    break
-                concept = _fold_right(Or, disjuncts)
-                if not frames:
-                    return concept
-                self.expect("rparen", "')'")
-                disjuncts, conjuncts, prefixes = frames.pop()
-            self.take()
-            prefixes = []
-
-    # -- axioms ------------------------------------------------------------
-
-    def axiom(self) -> Axiom:
-        if self.peek() == "lparen" and self.peek(1) == "name" and self.peek(2) == "comma":
-            self.take()
-            subject = self.take()
-            self.take()
-            obj = self.expect("name", "individual name")
-            self.expect("rparen", "')'")
-            self.expect("colon", "':'")
-            role = self.expect("name", "role name")
-            return RoleAssertion(subject, obj, role)
-        if self.peek() == "name" and self.peek(1) == "colon":
-            individual = self.take()
-            self.take()
-            return ConceptAssertion(individual, self.concept())
-        left = self.concept()
-        self.expect("subsume", "'<='")
-        right = self.concept()
-        return SubClassOf(left, right)
-
-    def end(self) -> None:
-        if self.peek() != "end":
-            raise self.error("unexpected trailing input")
+                break
+            if conjuncts:
+                concept = _fold_right(And, conjuncts, concept)
+                conjuncts = []
+            if t == "or":
+                disjuncts.append(concept)
+                break
+            if disjuncts:
+                concept = _fold_right(Or, disjuncts, concept)
+            if not frames:
+                return concept, i
+            if t != ")":
+                raise _Syntax(i, "expected ')'")
+            i += 1
+            disjuncts, conjuncts, prefixes = frames.pop()
+        i += 1
 
 
-def _fold_right(ctor, parts: list[Concept]) -> Concept:
-    result = parts[-1]
-    for part in reversed(parts[:-1]):
-        result = ctor(part, result)
-    return result
+def _fold_right(ctor, parts: list[Concept], last: Concept) -> Concept:
+    for part in reversed(parts):
+        last = ctor(part, last)
+    return last
 
 
-def _line_body(raw: str) -> str:
-    return raw.split("#", 1)[0]
+def _statement(toks: list[str], i: int, atoms: dict, assertion, inclusion):
+    """``name : C`` as ``assertion(name, C)`` or ``C <= D`` as ``inclusion(C, D)``,
+    with the index of the token after it."""
+    t = toks[i]
+    if toks[i + 1] == ":" and _is_name(t):
+        concept, i = _concept(toks, i + 2, atoms)
+        return assertion(t, concept), i
+    left, i = _concept(toks, i, atoms)
+    if toks[i] != "<=":
+        raise _Syntax(i, "expected '<='")
+    right, i = _concept(toks, i + 1, atoms)
+    return inclusion(left, right), i
+
+
+def _annotated(toks: list[str], atoms: dict) -> AnnotatedAxiom:
+    """The axiom on one line, with its probability if it has one."""
+    probability = None
+    i = 0
+    if toks[1] == "::":
+        number = toks[0]
+        if not number[0].isdecimal():
+            raise _Syntax(0, "probability must be a number")
+        probability = float(number)
+        if not (0.0 <= probability <= 1.0):
+            raise _Syntax(0, f"probability {number} outside [0, 1]")
+        # A nonzero mantissa that float rounds to 0.0 would not round-trip.
+        if probability == 0.0 and number.upper().split("E")[0].strip("0."):
+            raise _Syntax(0, f"probability {number} underflows to 0")
+        i = 2
+    elif toks[0][0].isdecimal():
+        raise _Syntax(1, "expected '::' after probability")
+    if toks[i] == "(" and toks[i + 2] == "," and _is_name(toks[i + 1]):
+        obj = _name(toks, i + 3, "individual name")
+        if toks[i + 4] != ")":
+            raise _Syntax(i + 4, "expected ')'")
+        if toks[i + 5] != ":":
+            raise _Syntax(i + 5, "expected ':'")
+        axiom: Axiom = RoleAssertion(toks[i + 1], obj, _name(toks, i + 6, "role name"))
+        i += 7
+    else:
+        axiom, i = _statement(toks, i, atoms, ConceptAssertion, SubClassOf)
+    if toks[i]:
+        raise _Syntax(i, "unexpected trailing input")
+    return AnnotatedAxiom(axiom, probability)
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -225,49 +229,35 @@ def parse_kb(text: str) -> KnowledgeBase:
     Duplicate axiom lines are kept as distinct indices.
     """
     entries: list[AnnotatedAxiom] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        body = _line_body(raw)
-        if not body.strip():
+    atoms = dict(_CONSTANTS)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, 1):
+        body = raw.split("#", 1)[0]
+        toks = _TOKEN_RE.findall(body)
+        if not toks:
             continue
-        parser = _LineParser(body, line_no)
-        probability = None
-        if parser.peek(1) == "dcolon":
-            if parser.peek() != "number":
-                raise parser.error("probability must be a number")
-            number = parser.take()
-            parser.take()
-            probability = float(number)
-            # Errors point at the number, two tokens back.
-            if not (0.0 <= probability <= 1.0):
-                raise parser.error(f"probability {number} outside [0, 1]", -2)
-            # A nonzero mantissa that float rounds to 0.0 would not round-trip.
-            if probability == 0.0 and number.upper().split("E")[0].strip("0."):
-                raise parser.error(f"probability {number} underflows to 0", -2)
-        elif parser.peek() == "number":
-            raise parser.error("expected '::' after probability", 1)
-        axiom = parser.axiom()
-        parser.end()
-        entries.append(AnnotatedAxiom(axiom, probability))
+        toks += _END
+        try:
+            entries.append(_annotated(toks, atoms))
+        except _Syntax as exc:
+            raise _syntax_error(body, line_no, *exc.args) from None
     return KnowledgeBase(tuple(entries))
 
 
 def parse_query(text: str) -> Query:
     """Parse ``individual : Concept`` or ``Concept <= Concept``."""
-    stripped = _line_body(text)
-    if not stripped.strip():
+    body = text.split("#", 1)[0]
+    toks = _TOKEN_RE.findall(body)
+    if not toks:
         raise ParseError(1, 1, "empty query")
-    parser = _LineParser(stripped, 1)
-    if parser.peek() == "name" and parser.peek(1) == "colon":
-        individual = parser.take()
-        parser.take()
-        concept = parser.concept()
-        parser.end()
-        return InstanceQuery(individual, concept)
-    left = parser.concept()
-    parser.expect("subsume", "'<='")
-    right = parser.concept()
-    parser.end()
-    return SubsumptionQuery(left, right)
+    toks += _END
+    try:
+        query, i = _statement(toks, 0, dict(_CONSTANTS), InstanceQuery, SubsumptionQuery)
+        if toks[i]:
+            raise _Syntax(i, "unexpected trailing input")
+    except _Syntax as exc:
+        raise _syntax_error(body, 1, *exc.args) from None
+    return query
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,15 +22,18 @@ from probalc.kb import (
     SubsumptionQuery,
     TOP,
 )
-from probalc.generators import random_kb
+from probalc.generators import chain_query, fuzz_corpus, generate_synthetic, random_kb
 from probalc.parser import (
     ParseError,
     parse_kb,
     parse_query,
     render_concept,
+    render_query,
     serialize_kb,
 )
 from conftest import CRIME_TEXT
+
+SAMPLE_KB = Path(__file__).resolve().parent.parent / "samples" / "crime.kb"
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -67,6 +72,30 @@ class TestAxioms:
     def test_empty_input_is_the_empty_kb(self):
         assert len(parse_kb("")) == 0
         assert serialize_kb(parse_kb("")) == ""
+
+    def test_lines_end_at_lf_crlf_and_cr(self):
+        kb = parse_kb("A <= B\r\nB <= C\rC <= D\n\r\nD <= E\r")
+        assert [entry.axiom for entry in kb.axioms] == [
+            SubClassOf(A, B),
+            SubClassOf(B, C),
+            SubClassOf(C, Atomic("D")),
+            SubClassOf(Atomic("D"), Atomic("E")),
+        ]
+        with pytest.raises(ParseError) as err:
+            parse_kb("A <= B\r\n\rC <=")
+        assert (err.value.line, err.value.column) == (3, 5)
+
+    # str.splitlines breaks at these too; here they are whitespace.
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_other_line_separators_are_whitespace(self, sep):
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"A <= B{sep}C <= D")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            1,
+            8,
+            "unexpected trailing input",
+        )
+        assert parse_kb(f"A <={sep}B\nB <= C").axiom(1) == SubClassOf(B, C)
 
 
 class TestPrecedence:
@@ -156,6 +185,67 @@ class TestErrors:
             parse_kb("a :\n")
         assert str(err.value).startswith("1:")
 
+    # (text, line, column, message), pinned so that a change to the parser
+    # keeps every position and message.
+    KB_ERRORS = [
+        ("0.5 :: 0.5 :: A <= B", 1, 8, "expected a concept"),
+        ("(a, b)", 1, 7, "expected ':'"),
+        ("(a, b) : ", 1, 9, "expected role name"),
+        ("(a, b) : and", 1, 10, "expected role name"),
+        ("(a, 1) : r", 1, 5, "expected individual name"),
+        ("(a, b : r", 1, 7, "expected ')'"),
+        ("(Top, b) : r", 1, 5, "expected ')'"),
+        ("(a, b) : r\tx", 1, 12, "unexpected trailing input"),
+        ("0.5 :: (a, b) : r :", 1, 19, "unexpected trailing input"),
+        ("A <= B)", 1, 7, "unexpected trailing input"),
+        ("A <=", 1, 5, "expected a concept"),
+        ("A", 1, 2, "expected '<='"),
+        ("Top : A", 1, 5, "expected '<='"),
+        ("a : A and or B", 1, 11, "expected a concept"),
+        ("a : forall r. and", 1, 15, "expected a concept"),
+        ("exists 1. A <= B", 1, 8, "expected role name"),
+        ("exists r A <= B", 1, 10, "expected '.' after role name"),
+        ("exists r.", 1, 10, "expected a concept"),
+        ("((((A", 1, 6, "expected ')'"),
+        ("a : A)", 1, 6, "unexpected trailing input"),
+        ("0x1 :: A <= B", 1, 2, "expected '::' after probability"),
+        ("5", 1, 2, "expected '::' after probability"),
+        (".5 :: A <= B", 1, 1, "expected a concept"),
+        ("A :: B", 1, 1, "probability must be a number"),
+        ("1e-400 :: A <= B", 1, 1, "probability 1e-400 underflows to 0"),
+        ("1e999 :: A <= B", 1, 1, "probability 1e999 outside [0, 1]"),
+        ("٣ :: A <= B", 1, 1, "probability ٣ outside [0, 1]"),
+        ("é <= B", 1, 1, "unexpected character 'é'"),
+        ("A < B", 1, 3, "unexpected character '<'"),
+        ("A <== B", 1, 5, "unexpected character '='"),
+        # A character no token starts with is reported before any other error.
+        ("A <= <= é", 1, 9, "unexpected character 'é'"),
+        ("1.5 :: A é", 1, 10, "unexpected character 'é'"),
+    ]
+
+    @pytest.mark.parametrize("text, line, column, message", KB_ERRORS)
+    def test_kb_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_kb(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("(a,b) : r", 1, 3, "expected ')'"),
+            ("A <= B <= C", 1, 8, "unexpected trailing input"),
+            ("a : A <= B", 1, 7, "unexpected trailing input"),
+            ("A", 1, 2, "expected '<='"),
+            ("1 :: A <= B", 1, 1, "expected a concept"),
+            ("  # x", 1, 1, "empty query"),
+            ("é", 1, 1, "unexpected character 'é'"),
+        ],
+    )
+    def test_query_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_query(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
 
 class TestQueries:
     def test_instance_query(self):
@@ -200,6 +290,16 @@ class TestRoundTrip:
         assert render_concept(c) == "exists r. (A and B)"
         assert parse_concept(render_concept(c)) == c
 
+    def test_benchmark_texts_parse_to_the_generated_kbs(self):
+        """The texts of the benchmark's corpus and chain workloads, built
+        the way ``perfbench/workloads.py`` builds them, and the sample KB."""
+        for kb, query in fuzz_corpus(2026, 200, max_axioms=10):
+            assert parse_kb(serialize_kb(kb)) == kb
+            assert parse_query(render_query(query)) == query
+        assert parse_kb(serialize_kb(generate_synthetic(7))) == generate_synthetic(7)
+        assert parse_query(render_query(chain_query(7))) == chain_query(7)
+        assert parse_kb(SAMPLE_KB.read_text()) == parse_kb(CRIME_TEXT)
+
     @given(st.integers(0, 10_000))
     def test_random_kbs_round_trip(self, seed):
         """parse_kb(serialize_kb(kb)) reproduces every axiom, annotation
@@ -215,3 +315,32 @@ class TestRoundTrip:
         again = parse_kb(serialize_kb(kb))
         assert again.prob_indices == kb.prob_indices
         assert again.probabilities == kb.probabilities
+
+
+# Tokens, keywords and junk that lines are made of, including characters
+# no token may contain and characters that end or do not end a line.
+PIECES = [
+    "A", "B", "r", "a", "x_1", "not", "and", "or", "exists", "forall", "Top", "Bottom",
+    "0.5", "1", "0", "1e-400", "2.5e3", "٣", "::", ":", "<=", "<", "=", "(", ")", ".", ",",
+    "#", " ", " ", "\t", "\n", "\r", "\r\n", "\u2028", "é", "Ω", "^",
+]
+
+
+class TestNoTextCrashes:
+    @given(st.lists(st.sampled_from(PIECES), max_size=25).map("".join))
+    def test_kb_parses_or_raises_parse_error(self, text):
+        try:
+            kb = parse_kb(text)
+        except ParseError as err:
+            assert err.line >= 1 and err.column >= 1
+        else:
+            assert parse_kb(serialize_kb(kb)) == kb
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=25).map("".join))
+    def test_query_parses_or_raises_parse_error(self, text):
+        try:
+            query = parse_query(text)
+        except ParseError as err:
+            assert err.line == 1 and err.column >= 1
+        else:
+            assert parse_query(render_query(query)) == query
