@@ -46,12 +46,10 @@ from .justify import CoveringSet, all_justifications, minimize, single_justifica
 from .pinpoint import formula_from_justifications, render_formula, satisfies
 from .bdd import BddManager
 from .semantics import (
-    AtomicChoice,
     QueryResult,
     RunConfig,
     World,
     WorldLimitError,
-    choice_probability,
     enumerate_worlds,
     probability_bruteforce,
     probability_query,
@@ -64,7 +62,6 @@ __all__ = [
     "And",
     "AnnotatedAxiom",
     "Atomic",
-    "AtomicChoice",
     "Axiom",
     "BOTTOM",
     "BddManager",
@@ -94,7 +91,6 @@ __all__ = [
     "WorldLimitError",
     "all_justifications",
     "chain_query",
-    "choice_probability",
     "entails",
     "enumerate_worlds",
     "formula_from_justifications",

@@ -3,8 +3,8 @@
 One manager owns all nodes of a diagram family.  References are plain
 ints: 0 and 1 are the terminals, higher values index into the node table.
 The unique table guarantees that structurally equal subdiagrams share one
-reference and that no node has equal branches, so two functions over the
-same manager are equivalent exactly when their references are equal.
+reference and that no node has equal branches, so two diagrams of one
+manager are the same function exactly when their references are equal.
 There are no complement edges.
 
 Variables are the ordinals of a knowledge base's probabilistic view and
@@ -15,8 +15,7 @@ variable cleared in every term) and the low cofactor (only the terms
 without it), and each distinct cofactor set becomes one node.  A node's
 children are built before the node itself, so they are already
 canonical and the unique table alone merges equal subfunctions: no apply
-operation and no apply cache is needed.  ``apply_and``, ``apply_or`` and
-``complement`` remain for combining diagrams that already exist.
+operation and no apply cache is needed.
 
 The probability of the function is computed by one bottom-up pass: at a
 node for variable i with annotation p_i, the value is p_i times the high
@@ -25,14 +24,14 @@ makes the pass linear in the diagram size.  It runs in floats; a caller
 whose float answer underflows to 0 can run it again in ``decimal``
 (``exact_probability``).  The probability pass,
 ``node_count`` and ``complement`` each loop over one list of the
-reachable nodes, children first.  That list, ``build``, ``one_paths`` and
-``to_dot`` use explicit stacks, so a diagram's depth is not bounded by
-Python's recursion limit.
+reachable nodes, children first.  That list, ``build`` and ``to_dot`` use
+explicit stacks, so a diagram's depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .pinpoint import Formula, term_masks
 from .tableau import NO_DEADLINE, Deadline
@@ -63,7 +62,6 @@ class BddManager:
             (var_count, TRUE_REF, TRUE_REF),
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_cache: dict[tuple[str, int, int], int] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -75,9 +73,6 @@ class BddManager:
 
     def high(self, ref: int) -> int:
         return self._entries[ref][2]
-
-    def is_terminal(self, ref: int) -> bool:
-        return ref <= TRUE_REF
 
     def _node(self, level: int, low: int, high: int) -> int:
         if low == high:
@@ -95,40 +90,6 @@ class BddManager:
         if not 0 <= ordinal < self.var_count:
             raise ValueError(f"variable ordinal {ordinal} outside 0..{self.var_count - 1}")
         return self._node(ordinal, FALSE_REF, TRUE_REF)
-
-    # -- boolean operations ------------------------------------------------
-
-    def apply_and(self, a: int, b: int) -> int:
-        if a == FALSE_REF or b == FALSE_REF:
-            return FALSE_REF
-        if a == TRUE_REF:
-            return b
-        if b == TRUE_REF or a == b:
-            return a
-        return self._apply("and", self.apply_and, a, b)
-
-    def apply_or(self, a: int, b: int) -> int:
-        if a == TRUE_REF or b == TRUE_REF:
-            return TRUE_REF
-        if a == FALSE_REF:
-            return b
-        if b == FALSE_REF or a == b:
-            return a
-        return self._apply("or", self.apply_or, a, b)
-
-    def _apply(self, op: str, rec: Callable[[int, int], int], a: int, b: int) -> int:
-        # Both operations are commutative: normalize the cache key.
-        key = (op, a, b) if a <= b else (op, b, a)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
-        la, lb = self._entries[a][0], self._entries[b][0]
-        top = la if la <= lb else lb
-        a_low, a_high = (self.low(a), self.high(a)) if la == top else (a, a)
-        b_low, b_high = (self.low(b), self.high(b)) if lb == top else (b, b)
-        result = self._node(top, rec(a_low, b_low), rec(a_high, b_high))
-        self._apply_cache[key] = result
-        return result
 
     def build(self, formula: Formula, *, deadline: Deadline = NO_DEADLINE) -> int:
         """Compile a monotone formula into its canonical diagram.
@@ -186,10 +147,6 @@ class BddManager:
                 refs[current] = self._node(bit.bit_length() - 1, low_ref, high_ref)
                 stack.pop()
         return refs[terms]
-
-    def equivalent(self, a: int, b: int) -> bool:
-        """Canonicity makes equivalence a reference comparison."""
-        return a == b
 
     # -- analysis ----------------------------------------------------------
 
@@ -281,33 +238,6 @@ class BddManager:
                 order.append(r)
                 stack.pop()
         return order
-
-    def one_paths(self, ref: int) -> Iterator[dict[int, int]]:
-        """Root-to-1 paths as {ordinal: decision} dicts over visited levels.
-
-        The paths describe pairwise incompatible partial choices whose
-        union of worlds is exactly where the function is true.  They come
-        in depth-first order, low branch first; each stack frame records
-        how many of its node's branches have been entered.
-        """
-        path: dict[int, int] = {}
-        stack = [[ref, 0]]
-        while stack:
-            frame = stack[-1]
-            r, entered = frame
-            if r <= TRUE_REF:
-                if r == TRUE_REF:
-                    yield dict(path)
-                stack.pop()
-                continue
-            level, low, high = self._entries[r]
-            if entered == 2:
-                del path[level]
-                stack.pop()
-                continue
-            path[level] = entered
-            frame[1] = entered + 1
-            stack.append([high if entered else low, 0])
 
     def to_dot(self, ref: int) -> str:
         """GraphViz text; the 0-branch is drawn dashed.

@@ -1,14 +1,14 @@
 """Command line interface.
 
 Subcommands: ``query`` answers a probabilistic query against a KB file,
-``gen`` prints a generated KB, ``bench`` runs the chain scaling table and
-``check`` tests consistency.  Exit codes: 0 on success; 1 on a usage
-error, a parse error, or a KB file that cannot be read or decoded as
-UTF-8 or an output file that cannot be written; 2 when a timeout or
-budget is exhausted or the reasoner runs out of Python stack or memory.
-The subcommands raise, and ``main`` alone turns what they raise into a
-message and an exit code.  A reader that closes the output early (as
-``| head -1`` does) ends the run quietly with exit code 0.
+``gen`` prints a generated KB and ``check`` tests consistency.  Exit
+codes: 0 on success; 1 on a usage error, a parse error, or a KB file
+that cannot be read or decoded as UTF-8 or an output file that cannot be
+written; 2 when a timeout or budget is exhausted or the reasoner runs
+out of Python stack or memory.  The subcommands raise, and ``main``
+alone turns what they raise into a message and an exit code.  A reader
+that closes the output early (as ``| head -1`` does) ends the run
+quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from pathlib import Path
 
-from .generators import chain_query, generate_synthetic, random_kb
+from .generators import generate_synthetic, random_kb
 from .justify import METHODS, CoveringSet
 from .parser import ParseError, parse_kb, parse_query, render_annotated, serialize_kb
 from .pinpoint import render_formula
@@ -53,6 +53,15 @@ def _above(kind: type, low):
     return convert
 
 
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The options ``query`` and ``check`` share."""
+    # ``inf`` is accepted and means no deadline.
+    parser.add_argument(
+        "--timeout", type=_above(float, 0), default=RunConfig.timeout_s, metavar="SECS"
+    )
+    parser.add_argument("--json", action="store_true", help="print JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="probalc",
@@ -60,19 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _ArgumentParser(add_help=False)
-    # ``inf`` is accepted and means no deadline.
-    common.add_argument(
-        "--timeout", type=_above(float, 0), default=RunConfig.timeout_s, metavar="SECS"
-    )
-    common.add_argument("--json", action="store_true", help="print JSON")
-    reasoning = _ArgumentParser(add_help=False)
-    reasoning.add_argument("--method", choices=METHODS, default=RunConfig.method)
-    reasoning.add_argument("--engine", choices=ENGINES, default=RunConfig.engine)
-
-    query = sub.add_parser(
-        "query", parents=[reasoning, common], help="compute the probability of a query"
-    )
+    query = sub.add_parser("query", help="compute the probability of a query")
+    query.add_argument("--method", choices=METHODS, default=RunConfig.method)
+    query.add_argument("--engine", choices=ENGINES, default=RunConfig.engine)
+    _add_common(query)
     query.add_argument("kb", type=Path, help="knowledge base file")
     query.add_argument("query", help="query text, e.g. 'a : C' or 'C <= D'")
     query.add_argument("--dot", type=Path, metavar="PATH", help="write the diagram as DOT")
@@ -86,15 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--out", type=Path, help="write to file instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
-    bench = sub.add_parser(
-        "bench", parents=[reasoning, common], help="scaling table over the chain family"
-    )
-    bench.add_argument("max_n", type=_above(int, 1), help="largest chain length (rows 2, 4, ...)")
-    bench.set_defaults(func=cmd_bench)
-
-    check = sub.add_parser(
-        "check", parents=[common], help="consistency of all axioms taken together"
-    )
+    check = sub.add_parser("check", help="consistency of all axioms taken together")
+    _add_common(check)
     check.add_argument("kb", type=Path)
     check.set_defaults(func=cmd_check)
     return parser
@@ -163,44 +156,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = RunConfig(method=args.method, engine=args.engine, timeout_s=args.timeout)
-    rows = []
-    if not args.json:
-        print(f"{'n':>4} {'axioms':>7} {'justs':>7} {'bdd':>6} {'probability':>16} {'time_s':>9}")
-    for n in range(2, args.max_n + 1, 2):
-        kb = generate_synthetic(n)
-        query = chain_query(n)
-        try:
-            result = probability_query(kb, query, config)
-        except ResourceLimitError:
-            if not args.json:
-                print(f"{n:>4} {len(kb):>7} {'--':>7} {'--':>6} {'--':>16} {'--':>9}")
-            rows.append({"n": n, "timeout": True})
-            continue
-        elapsed = result.time_ms / 1000
-        if not args.json:
-            print(
-                f"{n:>4} {len(kb):>7} {len(result.covering):>7} {result.bdd_nodes:>6}"
-                f" {result.probability:>16.12g} {elapsed:>9.3f}"
-            )
-        rows.append(
-            {
-                "n": n,
-                "justifications": len(result.covering),
-                "bdd_nodes": result.bdd_nodes,
-                "probability": result.probability,
-                "tableau_calls": result.covering.tableau_calls,
-                "hst_nodes": result.covering.hst_nodes,
-                "memo_hits": result.covering.memo_hits,
-                "time_s": elapsed,
-            }
-        )
-    if args.json:
-        print(json.dumps(rows, sort_keys=True))
     return EXIT_OK
 
 

@@ -68,6 +68,9 @@ _PUNCTUATION = frozenset({"::", "<=", ":", "(", ")", ",", "."})
 # character no token may contain.
 _TOKEN_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_]*|::|<=|\S")
 
+# A comment runs from ``#`` to the end of its line.
+_COMMENT_RE = re.compile(r"#[^\r\n]*")
+
 # Three close every token list: lookahead reaches two tokens past a
 # position that is at most the first of them.
 _END = ("", "", "")
@@ -80,21 +83,29 @@ class _Syntax(Exception):
     """A syntax error at a token index, which only the line's text turns into a column."""
 
 
-def _syntax_error(body: str, line_no: int, index: int, message: str) -> ParseError:
-    """The ParseError for ``message`` at token ``index`` of the line ``body``.
+def _lines(text: str) -> list[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
-    A character no token may contain is reported first, wherever it is on
-    the line.  No line holding one parses, since every token the grammar
-    takes is checked, so only a failed line needs to look for it.
+
+def _syntax_error(lines: list[str], first: int, index: int, message: str) -> ParseError:
+    """The ParseError for ``message`` at token ``index`` of a statement.
+
+    ``lines`` are the statement's lines with their comments removed, the
+    first of them numbered ``first``.  A character no token may contain
+    is reported first, wherever it is: no statement holding one parses,
+    since every token the grammar takes is checked, so only a failed one
+    looks for it.  Past the last token is the end of that token's line.
     """
-    matches = list(_TOKEN_RE.finditer(body))
-    for m in matches:
+    matches = [(no, m) for no, body in enumerate(lines, first) for m in _TOKEN_RE.finditer(body)]
+    for line_no, m in matches:
         t = m.group()
         if t not in _PUNCTUATION and t[0] not in _NAME_START and not t[0].isdecimal():
             return ParseError(line_no, m.start() + 1, f"unexpected character {t!r}")
     if index < len(matches):
-        return ParseError(line_no, matches[index].start() + 1, message)
-    return ParseError(line_no, len(body.rstrip()) + 1, message)
+        line_no, m = matches[index]
+        return ParseError(line_no, m.start() + 1, message)
+    line_no = matches[-1][0]
+    return ParseError(line_no, len(lines[line_no - first].rstrip()) + 1, message)
 
 
 def _is_name(t: str) -> bool:
@@ -230,8 +241,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     """
     entries: list[AnnotatedAxiom] = []
     atoms = dict(_CONSTANTS)
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, 1):
+    for line_no, raw in enumerate(_lines(text), 1):
         body = raw.split("#", 1)[0]
         toks = _TOKEN_RE.findall(body)
         if not toks:
@@ -240,13 +250,16 @@ def parse_kb(text: str) -> KnowledgeBase:
         try:
             entries.append(_annotated(toks, atoms))
         except _Syntax as exc:
-            raise _syntax_error(body, line_no, *exc.args) from None
+            raise _syntax_error([body], line_no, *exc.args) from None
     return KnowledgeBase(tuple(entries))
 
 
 def parse_query(text: str) -> Query:
-    """Parse ``individual : Concept`` or ``Concept <= Concept``."""
-    body = text.split("#", 1)[0]
+    """Parse ``individual : Concept`` or ``Concept <= Concept``.
+
+    The query may span lines, which end and take comments as in ``parse_kb``.
+    """
+    body = _COMMENT_RE.sub("", text) if "#" in text else text
     toks = _TOKEN_RE.findall(body)
     if not toks:
         raise ParseError(1, 1, "empty query")
@@ -256,7 +269,7 @@ def parse_query(text: str) -> Query:
         if toks[i]:
             raise _Syntax(i, "unexpected trailing input")
     except _Syntax as exc:
-        raise _syntax_error(body, 1, *exc.args) from None
+        raise _syntax_error(_lines(body), 1, *exc.args) from None
     return query
 
 

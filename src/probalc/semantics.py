@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .bdd import FALSE_REF, BddManager
 from .justify import METHODS, CoveringSet, all_justifications
@@ -41,25 +41,10 @@ class WorldLimitError(ResourceLimitError):
 
 
 @dataclass(frozen=True)
-class AtomicChoice:
-    """Include (1) or exclude (0) the annotated axiom with this ordinal."""
-
-    ordinal: int
-    include: int
-
-    def __post_init__(self) -> None:
-        if self.include not in (0, 1):
-            raise ValueError(f"include must be 0 or 1, got {self.include!r}")
-
-
-@dataclass(frozen=True)
 class World:
     """A total choice; bits[i] tells whether ordinal i's axiom is included."""
 
     bits: tuple[int, ...]
-
-    def selection(self) -> frozenset[AtomicChoice]:
-        return frozenset(AtomicChoice(i, k) for i, k in enumerate(self.bits))
 
     def axiom_indices(self, kb: KnowledgeBase) -> tuple[int, ...]:
         chosen = {
@@ -68,27 +53,6 @@ class World:
         return tuple(
             i for i in range(len(kb)) if i in chosen or kb.axioms[i].certain
         )
-
-
-def choice_probability(choice: Iterable[AtomicChoice], kb: KnowledgeBase) -> float:
-    """Product of the chosen annotations and the dropped complements.
-
-    The empty choice has probability 1.  Raises ValueError for conflicting
-    or out-of-range atomic choices.
-    """
-    probs = kb.probabilities
-    seen: dict[int, int] = {}
-    for atom in choice:
-        if not 0 <= atom.ordinal < len(probs):
-            raise ValueError(f"ordinal {atom.ordinal} outside the probabilistic view")
-        previous = seen.get(atom.ordinal)
-        if previous is not None and previous != atom.include:
-            raise ValueError(f"conflicting choices for ordinal {atom.ordinal}")
-        seen[atom.ordinal] = atom.include
-    return math.prod(
-        probs[ordinal] if include else 1.0 - probs[ordinal]
-        for ordinal, include in seen.items()
-    )
 
 
 def _check_world_limit(kb: KnowledgeBase) -> None:

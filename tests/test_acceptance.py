@@ -112,10 +112,8 @@ def test_criterion_3_crime_formula(criterion, crime_kb, crime_query):
         formula = formula_from_justifications(covering, crime_kb)
         assert render_formula(formula) == "(x1 & x2) | (x1 & x3)"
         manager = BddManager(3)
-        factored = manager.apply_and(
-            manager.var(0), manager.apply_or(manager.var(1), manager.var(2))
-        )
-        assert manager.equivalent(manager.build(formula), factored)
+        factored = Conj((Var(0), Disj((Var(1), Var(2)))))
+        assert manager.build(formula) == manager.build(factored)
 
 
 def test_criterion_4_chain_family(criterion):

@@ -1,9 +1,9 @@
-"""Decision diagrams: canonicity, probability, complement, paths, export.
+"""Decision diagrams: canonicity, probability, complement, export.
 
 Canonicity is exercised against exhaustive truth tables on up to six
 variables: two functions build to the same reference exactly when their
-tables agree.  ``build`` is checked against the fold over ``apply_and``
-and ``apply_or`` that it replaced, kept here as ``fold_build``.
+tables agree.  ``build`` is checked against the fold over Bryant's apply
+that it replaced, kept here as ``fold_build``.
 """
 
 from __future__ import annotations
@@ -63,21 +63,40 @@ def truth_table(formula, var_count):
 
 
 def fold_build(manager: BddManager, formula: Formula) -> int:
-    """Reference compiler: fold the parts with ``apply_and``/``apply_or``."""
-    t = type(formula)
-    if t is Var:
-        return manager.var(formula.ordinal)
-    if t is Conj:
-        ref = TRUE_REF
-        for part in formula.parts:
-            ref = manager.apply_and(ref, fold_build(manager, part))
-        return ref
-    if t is Disj:
-        ref = FALSE_REF
-        for part in formula.parts:
-            ref = manager.apply_or(ref, fold_build(manager, part))
-        return ref
-    return TRUE_REF if t is TrueFormula else FALSE_REF
+    """Reference compiler: fold the parts with a recursive apply (Bryant 1986)."""
+    cache: dict[tuple[bool, int, int], int] = {}
+
+    def apply(conj: bool, a: int, b: int) -> int:
+        absorbing, identity = (FALSE_REF, TRUE_REF) if conj else (TRUE_REF, FALSE_REF)
+        if absorbing in (a, b):
+            return absorbing
+        if a == identity or a == b:
+            return b
+        if b == identity:
+            return a
+        # Both operations are commutative: normalize the cache key.
+        key = (conj, a, b) if a <= b else (conj, b, a)
+        if key not in cache:
+            la, lb = manager.level(a), manager.level(b)
+            top = min(la, lb)
+            a_low, a_high = (manager.low(a), manager.high(a)) if la == top else (a, a)
+            b_low, b_high = (manager.low(b), manager.high(b)) if lb == top else (b, b)
+            low = apply(conj, a_low, b_low)
+            cache[key] = manager._node(top, low, apply(conj, a_high, b_high))
+        return cache[key]
+
+    def fold(f: Formula) -> int:
+        t = type(f)
+        if t is Var:
+            return manager.var(f.ordinal)
+        if t is Conj or t is Disj:
+            ref = TRUE_REF if t is Conj else FALSE_REF
+            for part in f.parts:
+                ref = apply(t is Conj, ref, fold(part))
+            return ref
+        return TRUE_REF if t is TrueFormula else FALSE_REF
+
+    return fold(formula)
 
 
 def covering_formulas():
@@ -100,7 +119,6 @@ def evaluate_ref(manager, ref, chosen):
 class TestStructure:
     def test_terminals(self):
         m = BddManager(3)
-        assert m.is_terminal(FALSE_REF) and m.is_terminal(TRUE_REF)
         assert m.level(FALSE_REF) == m.level(TRUE_REF) == 3
 
     def test_bare_variable(self):
@@ -109,7 +127,7 @@ class TestStructure:
         assert m.level(ref) == 1
         assert m.low(ref) == FALSE_REF
         assert m.high(ref) == TRUE_REF
-        assert not m.is_terminal(ref)
+        assert ref > TRUE_REF
 
     def test_variable_out_of_range(self):
         m = BddManager(2)
@@ -124,14 +142,13 @@ class TestStructure:
 
     def test_equal_branches_never_materialize(self):
         m = BddManager(2)
-        x, y = m.var(0), m.var(1)
-        # x & y | x & ~y collapses; here: (x | y) & x == x.
-        assert m.apply_and(m.apply_or(x, y), x) == x
+        # (x | y) & x is x: no node tests y.
+        assert m.build(Conj((Disj((Var(0), Var(1))), Var(0)))) == m.var(0)
 
     def test_shared_subdiagrams_reuse_references(self):
         m = BddManager(3)
-        a = m.apply_and(m.var(0), m.var(2))
-        b = m.apply_and(m.var(0), m.var(2))
+        a = m.build(Conj((Var(0), Var(2))))
+        b = m.build(Conj((Var(2), Var(0))))
         assert a == b
 
     def test_crime_diagram_has_three_internal_nodes(self):
@@ -156,17 +173,15 @@ class TestStructure:
     def test_levels_strictly_increase_along_paths(self):
         m = BddManager(6)
         rng = random.Random(5)
-        ref = FALSE_REF
-        for _ in range(8):
-            conj = TRUE_REF
-            for v in rng.sample(range(6), rng.randint(1, 4)):
-                conj = m.apply_and(conj, m.var(v))
-            ref = m.apply_or(ref, conj)
-        stack = [ref]
+        terms = (
+            Conj(tuple(Var(v) for v in rng.sample(range(6), rng.randint(1, 4))))
+            for _ in range(8)
+        )
+        stack = [m.build(Disj(tuple(terms)))]
         seen = set()
         while stack:
             r = stack.pop()
-            if m.is_terminal(r) or r in seen:
+            if r <= TRUE_REF or r in seen:
                 continue
             seen.add(r)
             for child in (m.low(r), m.high(r)):
@@ -225,14 +240,12 @@ class TestBuildAgainstApply:
         assert len(memo) == 1200
 
     def test_deep_conjunction_walks(self):
-        """Complement, 1-paths and DOT text walk 1,200 levels without recursion."""
+        """Complement and DOT text walk 1,200 levels without recursion."""
         m = BddManager(1200)
         ref = m.build(Conj(tuple(Var(i) for i in range(1200))))
         comp = m.complement(ref)
         assert m.node_count(comp) == 1200
         assert m.complement(comp) == ref
-        assert list(m.one_paths(ref)) == [dict.fromkeys(range(1200), 1)]
-        assert len(list(m.one_paths(comp))) == 1200
         dot = m.to_dot(ref)
         assert sum(line.startswith("  n") and "[label=" in line for line in dot.splitlines()) == 1200
 
@@ -240,13 +253,12 @@ class TestBuildAgainstApply:
 class TestEquivalence:
     def test_crime_formula_equals_factored_form(self):
         m = BddManager(3)
-        dnf = m.build(CRIME_FORMULA)
-        factored = m.apply_and(m.var(0), m.apply_or(m.var(1), m.var(2)))
-        assert m.equivalent(dnf, factored)
+        factored = Conj((Var(0), Disj((Var(1), Var(2)))))
+        assert m.build(CRIME_FORMULA) == m.build(factored)
 
     def test_inequivalent_functions_differ(self):
         m = BddManager(2)
-        assert not m.equivalent(m.var(0), m.var(1))
+        assert m.var(0) != m.var(1)
 
     @settings(max_examples=200)
     @given(monotone_formulas(), monotone_formulas())
@@ -313,7 +325,7 @@ class TestProbability:
 
     def test_missing_probability(self):
         m = BddManager(2)
-        ref = m.apply_and(m.var(0), m.var(1))
+        ref = m.build(Conj((Var(0), Var(1))))
         with pytest.raises(MissingProbabilityError):
             m.probability(ref, {0: 0.5})
 
@@ -378,31 +390,6 @@ class TestComplement:
             assert evaluate_ref(m, comp, chosen) != evaluate_ref(m, ref, chosen)
 
 
-class TestOnePaths:
-    def test_crime_paths(self):
-        m = BddManager(3)
-        ref = m.build(CRIME_FORMULA)
-        paths = list(m.one_paths(ref))
-        assert paths == [{0: 1, 1: 0, 2: 1}, {0: 1, 1: 1}]
-
-    def test_terminal_paths(self):
-        m = BddManager(1)
-        assert list(m.one_paths(TRUE_REF)) == [{}]
-        assert list(m.one_paths(FALSE_REF)) == []
-
-    def test_path_weights_sum_to_the_probability(self):
-        m = BddManager(3)
-        ref = m.build(CRIME_FORMULA)
-        total = 0.0
-        for path in m.one_paths(ref):
-            weight = 1.0
-            for ordinal, decision in path.items():
-                p = CRIME_PROBS[ordinal]
-                weight *= p if decision else 1.0 - p
-            total += weight
-        assert math.isclose(total, m.probability(ref, CRIME_PROBS), abs_tol=1e-12)
-
-
 class TestDot:
     def test_crime_dot_shape(self):
         m = BddManager(3)
@@ -439,18 +426,6 @@ def recursive_complement(m: BddManager, ref: int) -> int:
     return walk(ref)
 
 
-def recursive_one_paths(m: BddManager, ref: int, path=None):
-    path = {} if path is None else path
-    if ref == TRUE_REF:
-        yield dict(path)
-    elif ref != FALSE_REF:
-        path[m.level(ref)] = 0
-        yield from recursive_one_paths(m, m.low(ref), path)
-        path[m.level(ref)] = 1
-        yield from recursive_one_paths(m, m.high(ref), path)
-        del path[m.level(ref)]
-
-
 def recursive_dot_order(m: BddManager, ref: int, order=None) -> list[int]:
     order = [] if order is None else order
     if ref > TRUE_REF and ref not in order:
@@ -461,15 +436,12 @@ def recursive_dot_order(m: BddManager, ref: int, order=None) -> list[int]:
 
 
 def test_walks_match_their_recursive_forms():
-    """Same refs made in the same order, same paths in the same order, same DOT node order."""
+    """Same refs made in the same order and the same DOT node order."""
     for var_count, formula in covering_formulas():
         m, reference = BddManager(var_count), BddManager(var_count)
         ref = m.build(formula)
         assert reference.build(formula) == ref
         assert m.complement(ref) == recursive_complement(reference, ref)
         assert m._entries == reference._entries
-        assert [list(p.items()) for p in m.one_paths(ref)] == [
-            list(p.items()) for p in recursive_one_paths(reference, ref)
-        ]
         names = [line.split()[0] for line in m.to_dot(ref).splitlines() if "[label=" in line]
         assert names == [f"n{r}" for r in recursive_dot_order(reference, ref)]

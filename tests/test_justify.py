@@ -165,6 +165,7 @@ class TestAllJustifications:
             (11, "glassbox", (2070, 35840, 78826)),
             (10, "blackbox", (6164, 16384, 45036)),
             (11, "blackbox", (13334, 35840, 99306)),
+            (2, "glassbox", (8, 16, 24)),
         ],
     )
     def test_chain_work_is_pinned(self, n, method, work):

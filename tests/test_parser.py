@@ -239,6 +239,13 @@ class TestErrors:
             ("1 :: A <= B", 1, 1, "expected a concept"),
             ("  # x", 1, 1, "empty query"),
             ("é", 1, 1, "unexpected character 'é'"),
+            # A query may span lines; positions are within the line.
+            ("A <=\nB C", 2, 3, "unexpected trailing input"),
+            ("A <=\r\nB C", 2, 3, "unexpected trailing input"),
+            ("A <=\rB C", 2, 3, "unexpected trailing input"),
+            ("a :\n GreatMan B", 2, 11, "unexpected trailing input"),
+            ("A\n<=", 2, 3, "expected a concept"),
+            ("a :\n é", 2, 2, "unexpected character 'é'"),
         ],
     )
     def test_query_error_positions(self, text, line, column, message):
@@ -259,6 +266,9 @@ class TestQueries:
     def test_complex_query_concepts(self):
         q = parse_query("a : exists r. A and B")
         assert q == InstanceQuery("a", And(Exists("r", A), B))
+
+    def test_a_comment_ends_only_its_line(self):
+        assert parse_query("A <= B # note\n or C") == SubsumptionQuery(A, Or(B, C))
 
     def test_empty_query_rejected(self):
         with pytest.raises(ParseError):
@@ -341,6 +351,8 @@ class TestNoTextCrashes:
         try:
             query = parse_query(text)
         except ParseError as err:
-            assert err.line == 1 and err.column >= 1
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.column <= len(lines[err.line - 1]) + 1
         else:
             assert parse_query(render_query(query)) == query

@@ -1,4 +1,4 @@
-"""Distribution semantics: worlds, choices, both probability engines."""
+"""Distribution semantics: worlds and both probability engines."""
 
 from __future__ import annotations
 
@@ -27,60 +27,15 @@ from probalc.kb import (
 )
 from probalc.semantics import (
     WORLD_LIMIT,
-    AtomicChoice,
     RunConfig,
     World,
     WorldLimitError,
-    choice_probability,
     enumerate_worlds,
     probability_bruteforce,
     probability_query,
 )
 from probalc.pinpoint import formula_from_justifications
 from probalc.tableau import ResourceLimitError, entails
-
-
-class TestChoices:
-    def test_single_inclusion(self, crime_kb):
-        assert math.isclose(
-            choice_probability([AtomicChoice(0, 1)], crime_kb), 0.2, abs_tol=1e-12
-        )
-
-    def test_single_exclusion(self, crime_kb):
-        assert math.isclose(
-            choice_probability([AtomicChoice(0, 0)], crime_kb), 0.8, abs_tol=1e-12
-        )
-
-    def test_total_choice(self, crime_kb):
-        choice = [AtomicChoice(0, 1), AtomicChoice(1, 1), AtomicChoice(2, 1)]
-        assert math.isclose(
-            choice_probability(choice, crime_kb), 0.2 * 0.6 * 0.7, abs_tol=1e-12
-        )
-
-    def test_mixed_choice(self, crime_kb):
-        choice = [AtomicChoice(0, 1), AtomicChoice(2, 0)]
-        assert math.isclose(
-            choice_probability(choice, crime_kb), 0.2 * 0.3, abs_tol=1e-12
-        )
-
-    def test_empty_choice_is_certain(self, crime_kb):
-        assert choice_probability([], crime_kb) == 1.0
-
-    def test_duplicate_consistent_choice_is_fine(self, crime_kb):
-        choice = [AtomicChoice(0, 1), AtomicChoice(0, 1)]
-        assert math.isclose(choice_probability(choice, crime_kb), 0.2, abs_tol=1e-12)
-
-    def test_conflicting_choice_rejected(self, crime_kb):
-        with pytest.raises(ValueError):
-            choice_probability([AtomicChoice(0, 1), AtomicChoice(0, 0)], crime_kb)
-
-    def test_out_of_range_ordinal_rejected(self, crime_kb):
-        with pytest.raises(ValueError):
-            choice_probability([AtomicChoice(3, 1)], crime_kb)
-
-    def test_include_flag_validation(self):
-        with pytest.raises(ValueError):
-            AtomicChoice(0, 2)
 
 
 class TestWorlds:
@@ -90,10 +45,12 @@ class TestWorlds:
         assert math.isclose(sum(w for _, w in worlds), 1.0, abs_tol=1e-12)
 
     def test_world_weights_match_choice_probability(self, crime_kb):
+        """A world weighs its chosen annotations times its dropped complements."""
         for world, weight in enumerate_worlds(crime_kb):
-            assert math.isclose(
-                weight, choice_probability(world.selection(), crime_kb), abs_tol=1e-12
+            expected = math.prod(
+                p if bit else 1 - p for p, bit in zip((0.2, 0.6, 0.7), world.bits)
             )
+            assert math.isclose(weight, expected, abs_tol=1e-12)
 
     def test_axiom_indices_always_include_certain_axioms(self, crime_kb):
         for world, _ in enumerate_worlds(crime_kb):

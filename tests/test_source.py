@@ -14,11 +14,8 @@ PACKAGE = Path(probalc.__file__).resolve().parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 # Functions that may call themselves, each with the reason that is safe for now.
-_LATER = "the planned pinpointing engine (ROADMAP item 3) must make it iterative before using it"
 _FORMULAS = "the pipeline's formulas are at most two levels deep"
 ALLOWED_RECURSION = {
-    "bdd.BddManager.apply_and": _LATER,
-    "bdd.BddManager.apply_or": _LATER,
     "pinpoint._eval": _FORMULAS,
     "pinpoint._render": _FORMULAS,
     "generators.random_concept": "its depth is an argument",
