@@ -3,9 +3,10 @@
 Entailment is decided by refutation: the query's counter-assertions are
 added and the procedure searches for a clash-free completion graph.  Rule
 priority is fixed (clash detection, then conjunction, value restriction
-and unfolding, then disjunction, then existential generation) with nodes
-visited in creation order, so runs are fully deterministic.  Deferring
-branching and node generation this way also keeps traces small.
+and unfolding, then propagating a disjunction, then branching on one,
+then existential generation) with nodes visited in creation order, so
+runs are fully deterministic.  Deferring branching and node generation
+this way also keeps traces small.
 
 The search runs on a compiled knowledge base (Horrocks & Patel-Schneider,
 *Optimizing description logic subsumption*, J. Logic Comput. 1999, call
@@ -34,8 +35,15 @@ every call.
 
 Disjunctions wait on an agenda: each node keeps its disjunctions in
 label order with a cursor past the ones already satisfied.  Labels only
-grow along a branch, so a satisfied disjunction stays satisfied, and the
-next one to branch on is found without rescanning the labels.
+grow along a branch, so a satisfied disjunction stays satisfied.  Before
+the search branches it propagates, as Horrocks & Patel-Schneider's
+Boolean constraint propagation does: an unsatisfied disjunction whose
+label holds the complement of one side adds its other side, opening no
+branch point.  Only atoms and negated atoms have complements, so only
+literal sides propagate.  The search branches only when no pending
+disjunction propagates, on the first unsatisfied one in node-then-label
+order.  One pass over the agendas past their cursors finds either pick,
+without rescanning the labels.
 
 Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
 *Reasoning with axioms: theory and practice*, KR 2000).  An inclusion
@@ -43,19 +51,22 @@ Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
 ``A`` enters a label, ``C`` is added alongside it, so the axiom never
 branches; ``not A`` unfolds nothing.  Every other inclusion is
 internalised as ``not sub or sup`` and added to every node, where the
-search branches on it unless it simplified: ``Top <= C`` adds plain
-``C``, and ``Bottom <= C`` adds nothing.  Adding a concept walks what it
-unfolds to with an explicit stack in the pre-order of a recursive
-descent, so an unfolding chain of any length fits in the Python stack.
+search propagates or branches on it unless it simplified: ``Top <= C``
+adds plain ``C``, and ``Bottom <= C`` adds nothing.  Adding a concept
+walks what it unfolds to with an explicit stack in the pre-order of a
+recursive descent, so an unfolding chain of any length fits in the
+Python stack.
 
 Every labeled concept carries a trace: the bitmask of the axioms its
 derivation used, or 0 throughout an untraced call.  Rule applications
 take the union of their premises' traces; applying an inclusion axiom,
 by unfolding or as an internalised disjunction, adds that axiom's own
-bit; a clash reports the union of the traces of the two clashing
-concepts.  When the refutation closes, the union of one clash trace per
-explored branch is an axiom set that still entails the query (usually a
-non-minimal one).
+bit; a propagated side carries the union of its disjunction's trace and
+the complement's; a clash reports the union of the traces of the two
+clashing concepts.  When the refutation closes, the union of one clash
+trace per explored branch is an axiom set that still entails the query
+(usually a non-minimal one).  Propagation opens no branch: the side it
+adds carries its premises' traces into any clash it takes part in.
 
 Roles have no inverses, so the subtree below a fresh existential witness
 never constrains the rest of the graph.  Each witness is therefore
@@ -485,20 +496,44 @@ class _Graph:
                 return
             node, concept, trace = stack.pop()
 
-    def next_disjunction(self) -> tuple[int, int] | None:
-        """The first unsatisfied disjunction, in node order, then label order."""
-        left, right = self.kb.left, self.kb.right
+    def next_disjunction(self) -> tuple[int, int, int, int] | None:
+        """The next disjunction rule to apply, as ``(node, side, trace, other)``.
+
+        The first unsatisfied disjunction, in node order, then label
+        order, whose label holds the complement of one side propagates:
+        ``side`` is its other side, ``trace`` the union of the
+        disjunction's trace and the complement's, and ``other`` is -1.
+        Only when none propagates is the first unsatisfied disjunction
+        branched on: ``side`` is its left side, ``other`` its right and
+        ``trace`` its own.  One pass past the cursors finds either.
+        """
+        kb = self.kb
+        left, right, comp = kb.left, kb.right, kb.comp
+        branch = None
         for node, pending in enumerate(self.disjunctions):
             label = self.labels[node]
             at = self.cursors[node]
+            first = -1
             while at < len(pending):
                 concept = pending[at]
-                if left[concept] not in label and right[concept] not in label:
-                    self.cursors[node] = at
-                    return node, concept
+                one, two = left[concept], right[concept]
+                if one not in label and two not in label:
+                    if first < 0:
+                        first = at
+                    # Only literals have complements; -1 is in no label.
+                    other = label.get(comp[one])
+                    if other is not None:
+                        self.cursors[node] = first
+                        return node, two, label[concept] | other, -1
+                    other = label.get(comp[two])
+                    if other is not None:
+                        self.cursors[node] = first
+                        return node, one, label[concept] | other, -1
+                    if branch is None:
+                        branch = node, one, label[concept], two
                 at += 1
-            self.cursors[node] = at
-        return None
+            self.cursors[node] = at if first < 0 else first
+        return branch
 
 
 def _budget_exhausted() -> ResourceLimitError:
@@ -553,7 +588,7 @@ def _refute(
     graph = _Graph(kb, mask, seen, edges, created, ())
     for node, concept, trace in asserted:
         graph.add(node, concept, trace)
-    kind, left, right, role_of = kb.kind, kb.left, kb.right, kb.role
+    kind, left, role_of = kb.kind, kb.left, kb.role
     # ``graph`` is the branch being searched; the module docstring gives
     # the three kinds of stack entry.  ``opened`` lists the graphs of the
     # live branch that reached the open state.
@@ -565,10 +600,10 @@ def _refute(
             deadline.check()
             pick = graph.next_disjunction()
             if pick is not None:
-                node, disjunction = pick
-                trace = graph.labels[node][disjunction]
-                stack.append((graph, node, right[disjunction], trace, graph.mark(), len(opened)))
-                graph.add(node, left[disjunction], trace)
+                node, side, trace, other = pick
+                if other >= 0:
+                    stack.append((graph, node, other, trace, graph.mark(), len(opened)))
+                graph.add(node, side, trace)
                 continue
             # No disjunction is pending, so every label is final: build the
             # roots of all witnesses first, so that one that clashes outright

@@ -191,9 +191,9 @@ class TestAllJustifications:
                     totals[2] += covering.memo_hits
                 work[seed, method] = totals
         assert work == {
-            (1, "glassbox"): [347, 191, 57],
+            (1, "glassbox"): [341, 191, 57],
             (1, "blackbox"): [727, 177, 84],
-            (7, "glassbox"): [286, 129, 19],
+            (7, "glassbox"): [274, 126, 17],
             (7, "blackbox"): [562, 127, 51],
         }
 

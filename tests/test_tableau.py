@@ -318,7 +318,7 @@ print(json.dumps([default, fixed]))
 
 class TestSearchStack:
     def test_wide_conjunction_query(self):
-        """Its negation branches once per conjunct, 1,500 branch points deep."""
+        """Its negation is a 1,500-way disjunction whose sides propagate in turn."""
         kb = parse_kb("".join(f"a : A{i}\n" for i in range(1500)))
         query = parse_query("a : " + " and ".join(f"A{i}" for i in range(1500)))
         assert entails(axioms_of(kb), query)
@@ -355,6 +355,49 @@ class TestSearchStack:
         default, fixed = json.loads(result.stdout)
         assert len(default) == 402 and "RecursionError" not in default
         assert fixed == default
+
+
+# ---------------------------------------------------------------------------
+# Boolean constraint propagation
+
+
+@pytest.fixture
+def marks(monkeypatch):
+    """The number of branch points opened so far."""
+    mark = _Graph.mark
+    opened = [0]
+
+    def counted(graph):
+        opened[0] += 1
+        return mark(graph)
+
+    monkeypatch.setattr(_Graph, "mark", counted)
+    return opened
+
+
+class TestPropagation:
+    def test_an_internalised_inclusion_propagates(self, marks):
+        """``not A or B`` with ``A`` in the label adds ``B`` with both traces."""
+        indexed = [(0, ConceptAssertion("a", A)), (1, SubClassOf(And(A, Top()), B))]
+        assert CompiledKB(indexed).gcis != []
+        assert trace_entailment(indexed, InstanceQuery("a", B)) == frozenset({0, 1})
+        assert marks == [0]
+
+    def test_both_complements_clash_at_once(self, marks):
+        indexed = [
+            (0, ConceptAssertion("a", Or(Not(A), B))),
+            (1, ConceptAssertion("a", A)),
+            (2, ConceptAssertion("a", Not(B))),
+        ]
+        assert not is_consistent(axiom for _, axiom in indexed)
+        assert trace_entailment(indexed, InstanceQuery("a", C)) == frozenset({0, 1, 2})
+        assert marks == [0]
+
+    def test_an_asserted_conjunction_opens_no_branch_point(self, marks):
+        kb = parse_kb("".join(f"a : A{i}\n" for i in range(300)))
+        query = parse_query("a : " + " and ".join(f"A{i}" for i in range(300)))
+        assert entails(axioms_of(kb), query)
+        assert marks == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,42 +676,51 @@ class TestSimplification:
 
 
 def _scan_next_disjunction(graph):
-    """Reference: rescan every label for the first unsatisfied disjunction."""
+    """Reference: rescan every label for the first propagating disjunction.
+
+    A disjunction propagates when the complement of one side is in its
+    label: the other side is added with both traces.  Only when none does
+    is the first unsatisfied disjunction branched on, its left side first.
+    """
     kb = graph.kb
+    branch = None
     for node in range(len(graph.labels)):
         label = graph.labels[node]
-        for concept in label:
-            if (
-                kb.kind[concept] == _OR
-                and kb.left[concept] not in label
-                and kb.right[concept] not in label
-            ):
-                return node, concept
-    return None
+        for concept, trace in label.items():
+            if kb.kind[concept] != _OR:
+                continue
+            one, two = kb.left[concept], kb.right[concept]
+            if one in label or two in label:
+                continue
+            for side, other in ((one, two), (two, one)):
+                complement = kb.comp[side]
+                if complement >= 0 and complement in label:
+                    return node, other, trace | label[complement], -1
+            if branch is None:
+                branch = node, one, trace, two
+    return branch
 
 
 def test_agenda_picks_what_the_full_scan_picks(monkeypatch, crime_kb, crime_query):
     agenda = _Graph.next_disjunction
-    picks = {"disjunction": 0, "none": 0, "past_satisfied": 0}
+    picks = {"disjunction": 0, "propagated": 0, "none": 0, "past_satisfied": 0}
 
     def checked(graph):
         expected = _scan_next_disjunction(graph)
         got = agenda(graph)
-        if expected is None:
-            assert got is None
+        assert got == expected
+        if got is None:
             picks["none"] += 1
         else:
-            node, disjunction = got
-            assert node == expected[0] and disjunction == expected[1]
-            picks["disjunction"] += 1
-            picks["past_satisfied"] += graph.cursors[node] > 0
+            picks["disjunction" if got[3] >= 0 else "propagated"] += 1
+            picks["past_satisfied"] += graph.cursors[got[0]] > 0
         return got
 
     monkeypatch.setattr(_Graph, "next_disjunction", checked)
     for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query)]:
         for method in ("glassbox", "blackbox"):
             all_justifications(kb, query, method)
-    # Both outcomes, and picks that skip satisfied disjunctions, must occur.
+    # Every outcome, and picks that skip satisfied disjunctions, must occur.
     assert min(picks.values()) > 1000, picks
 
 
