@@ -66,23 +66,25 @@ def formula_from_justifications(
     ``covering`` may be a CoveringSet or any iterable of index sets.
     Disjuncts are emitted in ascending index-tuple order and conjuncts in
     ascending ordinal order, so equal inputs give the identical formula.
+    Ordinals follow index order, so a term is read off its index tuple.
     """
     justifications = getattr(covering, "justifications", covering)
     ordinal_of = kb.ordinal_of
     var: dict[int, Var] = {}
     terms: list[Formula] = []
-    for just in sorted(justifications, key=lambda j: tuple(sorted(j))):
-        ordinals = sorted(ordinal_of[i] for i in just if i in ordinal_of)
-        if not ordinals:
+    for indices in sorted([tuple(sorted(just)) for just in justifications]):
+        parts = []
+        for i in indices:
+            o = ordinal_of.get(i)
+            if o is not None:
+                v = var.get(o)
+                if v is None:
+                    v = var[o] = Var(o)
+                parts.append(v)
+        if not parts:
             # Certain axioms alone entail the query: true in every world.
             return TRUE
-        for o in ordinals:
-            if o not in var:
-                var[o] = Var(o)
-        if len(ordinals) == 1:
-            terms.append(var[ordinals[0]])
-        else:
-            terms.append(Conj(tuple([var[o] for o in ordinals])))
+        terms.append(parts[0] if len(parts) == 1 else Conj(tuple(parts)))
     if not terms:
         return FALSE
     if len(terms) == 1:

@@ -25,8 +25,9 @@ rule below applies to any part:
 - ``exists r. Bottom = Bottom`` and ``forall r. Top = Top``.
 ``X`` and ``not X`` are recognised as complementary only where ``X`` is
 an atom or a negated atom.  A disjunction that simplifies away is never
-a branch point, and an inclusion that simplifies to ``Top`` is a
-tautology, left out of the compiled KB, so it never appears in a trace.
+a branch point, and an inclusion whose ``not sub or sup`` simplifies to
+``Top`` is a tautology, left out of the compiled KB, so it never appears
+in a trace.
 Axiom ``i`` owns bit ``1 << i``; one call takes the compiled KB and a
 bitmask of the axioms it may use, and skips every other axiom where it
 would be used.  A justification search compiles its KB once and asks
@@ -45,14 +46,17 @@ disjunction propagates, on the first unsatisfied one in node-then-label
 order.  One pass over the agendas past their cursors finds either pick,
 without rescanning the labels.
 
-Inclusion axioms are absorbed where they can be (Horrocks & Tobies,
-*Reasoning with axioms: theory and practice*, KR 2000).  An inclusion
-``A <= C`` with an atomic left side goes into an unfolding table: when
-``A`` enters a label, ``C`` is added alongside it, so the axiom never
-branches; ``not A`` unfolds nothing.  Every other inclusion is
-internalised as ``not sub or sup`` and added to every node, where the
-search propagates or branches on it unless it simplified: ``Top <= C``
-adds plain ``C``, and ``Bottom <= C`` adds nothing.  Adding a concept
+Inclusion axioms are absorbed on their normal form where they can be
+(Horrocks & Tobies, *Reasoning with axioms: theory and practice*, KR
+2000).  ``not sub`` and ``sup`` are interned apart.  An inclusion whose
+``not sub`` is a negated atom ``not A`` (its left side simplifies to
+``A``, as ``A and Top`` or ``B or Bottom`` do) goes into an unfolding
+table: when ``A`` enters a label, ``sup`` is added alongside it, so the
+axiom never branches; ``not A`` unfolds nothing.  Every other inclusion
+is internalised as ``not sub or sup``, the interner's simplified ``or``
+of the two ids, and added to every node, where the search propagates or
+branches on it unless it simplified: ``Top <= C`` adds plain ``C``, and
+``Bottom <= C`` adds nothing.  Adding a concept
 walks what it unfolds to with an explicit stack in the pre-order of a
 recursive descent, so an unfolding chain of any length fits in the
 Python stack.
@@ -204,10 +208,10 @@ class CompiledKB:
 
     Axiom ``i`` owns bit ``1 << i``, and ``axioms`` is the union of the
     bits of every axiom given.  In ascending index order, ``gcis``
-    holds the internalised inclusions as ``(bit, not sub or sup)``, but
-    none whose constraint simplifies to ``Top``,
+    holds the internalised inclusions as ``(bit, not sub or sup)``,
     ``unfold[c]`` the ``(bit, sup)`` pairs of the absorbed inclusions
-    whose left side is atom ``c``, and ``abox`` the assertions as
+    whose left side simplifies to atom ``c``, tautologies left out of
+    both, and ``abox`` the assertions as
     ``(bit, subject, object, what)``: for a concept assertion the object
     is -1 and ``what`` the concept, for a role assertion ``what`` is the
     role.  Individuals and roles are ids of their names.
@@ -236,12 +240,16 @@ class CompiledKB:
             bit = 1 << index
             t = type(axiom)
             if t is SubClassOf:
-                if type(axiom.sub) is Atomic:
-                    sub = self.intern(axiom.sub)
-                    self.unfold[sub].append((bit, self.intern(axiom.sup)))
+                not_sub = self.intern(axiom.sub, negated=True)
+                sup = self.intern(axiom.sup)
+                # A tautology constrains nothing, so it is left out.
+                if self.kind[not_sub] == _NOT:
+                    # The left side simplified to an atom: absorb the axiom.
+                    atom = self.left[not_sub]
+                    if sup != atom and self.kind[sup] != _TOP:
+                        self.unfold[atom].append((bit, sup))
                 else:
-                    constraint = self.intern(Or(Not(axiom.sub), axiom.sup))
-                    # A tautology constrains nothing, so it is left out.
+                    constraint = self._binary(_OR, not_sub, sup)
                     if self.kind[constraint] != _TOP:
                         self.gcis.append((bit, constraint))
             elif t is ConceptAssertion:
@@ -258,10 +266,11 @@ class CompiledKB:
         """The id of an individual or role name."""
         return self._names.setdefault(text, len(self._names))
 
-    def intern(self, concept: Concept) -> int:
+    def intern(self, concept: Concept, negated: bool = False) -> int:
         """The id of simplified ``nnf(concept)``, allocating ids for its parts if new.
 
-        The concept is normalised while it is walked, with an explicit
+        With ``negated``, the id of simplified ``nnf(not concept)``.  The
+        concept is normalised while it is walked, with an explicit
         stack whose entries carry a polarity: ``Not`` flips it, and under
         negation And and Or, Exists and Forall, and Top and Bottom swap,
         and an atom stands for its complement.  A binary concept or a
@@ -275,7 +284,7 @@ class CompiledKB:
         """
         kind = self.kind
         done: list[int] = []
-        stack: list = [(concept, True)]
+        stack: list = [(concept, not negated)]
         while stack:
             item, arg = stack.pop()
             t = type(item)
@@ -284,25 +293,13 @@ class CompiledKB:
                 # A concept that simplifies to one of its children is that id.
                 if arg < 0:
                     right = done.pop()
-                    left = done.pop()
-                    # The identity and the absorbing element of the kind.
-                    unit, zero = (_BOTTOM, _TOP) if item == _OR else (_TOP, _BOTTOM)
-                    if kind[left] == zero or kind[right] == unit or left == right:
-                        done.append(left)
-                        continue
-                    if kind[right] == zero or kind[left] == unit:
-                        done.append(right)
-                        continue
-                    if self.comp[left] == right:
-                        key = (zero, -1, -1, -1)
-                    else:
-                        key = (item, left, right, -1)
-                else:
-                    filler = done.pop()
-                    if kind[filler] == (_BOTTOM if item == _EXISTS else _TOP):
-                        done.append(filler)
-                        continue
-                    key = (item, filler, -1, arg)
+                    done[-1] = self._binary(item, done[-1], right)
+                    continue
+                filler = done.pop()
+                if kind[filler] == (_BOTTOM if item == _EXISTS else _TOP):
+                    done.append(filler)
+                    continue
+                key = (item, filler, -1, arg)
             elif t is Atomic:
                 atom = self._ids.get(item.name)
                 if atom is None:
@@ -330,6 +327,19 @@ class CompiledKB:
             done.append(found if found is not None else self._new(key, *key))
         return done[0]
 
+    def _binary(self, kind: int, left: int, right: int) -> int:
+        """The id of the ``_OR`` or ``_AND`` of two ids, simplified as ``intern`` does."""
+        kinds = self.kind
+        # The identity and the absorbing element of the kind.
+        unit, zero = (_BOTTOM, _TOP) if kind == _OR else (_TOP, _BOTTOM)
+        if kinds[left] == zero or kinds[right] == unit or left == right:
+            return left
+        if kinds[right] == zero or kinds[left] == unit:
+            return right
+        key = (zero, -1, -1, -1) if self.comp[left] == right else (kind, left, right, -1)
+        found = self._ids.get(key)
+        return found if found is not None else self._new(key, *key)
+
     def _new(self, key, kind: int, left: int, right: int, role: int) -> int:
         concept_id = len(self.kind)
         self._ids[key] = concept_id
@@ -349,9 +359,11 @@ class CompiledKB:
         """
         if query is not self._query:
             if isinstance(query, InstanceQuery):
-                goal = (self.name(query.individual), self.intern(Not(query.concept)))
+                goal = (self.name(query.individual), self.intern(query.concept, negated=True))
             elif isinstance(query, SubsumptionQuery):
-                goal = (self.name(FRESH_INDIVIDUAL), self.intern(And(query.sub, Not(query.sup))))
+                individual = self.name(FRESH_INDIVIDUAL)
+                sub, sup = self.intern(query.sub), self.intern(query.sup, negated=True)
+                goal = (individual, self._binary(_AND, sub, sup))
             else:
                 raise TypeError(f"not a query: {query!r}")
             self._goal = goal

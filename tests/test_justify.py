@@ -191,10 +191,10 @@ class TestAllJustifications:
                     totals[2] += covering.memo_hits
                 work[seed, method] = totals
         assert work == {
-            (1, "glassbox"): [341, 191, 57],
+            (1, "glassbox"): [343, 191, 57],
             (1, "blackbox"): [727, 177, 84],
             (7, "glassbox"): [274, 126, 17],
-            (7, "blackbox"): [562, 127, 51],
+            (7, "blackbox"): [561, 127, 52],
         }
 
     def test_chain_asks_only_questions_the_reasoner_answers(self, monkeypatch):

@@ -11,7 +11,7 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from probalc.generators import fuzz_corpus
+from probalc.generators import chain_query, fuzz_corpus, generate_synthetic
 from probalc.justify import all_justifications
 from probalc.kb import AnnotatedAxiom, Atomic, KnowledgeBase, SubClassOf
 from probalc.pinpoint import (
@@ -19,6 +19,7 @@ from probalc.pinpoint import (
     TRUE,
     Conj,
     Disj,
+    Formula,
     Var,
     formula_from_justifications,
     render_formula,
@@ -70,6 +71,49 @@ class TestConstruction:
             [frozenset({2}), frozenset({0}), frozenset({1})], kb
         )
         assert formula == Disj((Var(0), Var(1), Var(2)))
+
+
+def _reference_formula(covering, kb) -> Formula:
+    """The covering formula built as the module once built it: each
+    justification's ordinals sorted on their own, apart from its index tuple."""
+    ordinal_of = kb.ordinal_of
+    var: dict[int, Var] = {}
+    terms: list[Formula] = []
+    for just in sorted(covering, key=lambda j: tuple(sorted(j))):
+        ordinals = sorted(ordinal_of[i] for i in just if i in ordinal_of)
+        if not ordinals:
+            return TRUE
+        for o in ordinals:
+            if o not in var:
+                var[o] = Var(o)
+        if len(ordinals) == 1:
+            terms.append(var[ordinals[0]])
+        else:
+            terms.append(Conj(tuple([var[o] for o in ordinals])))
+    if not terms:
+        return FALSE
+    if len(terms) == 1:
+        return terms[0]
+    return Disj(tuple(terms))
+
+
+class TestReferenceConstruction:
+    """Terms read off the sorted index tuples give the reference formula."""
+
+    def _agrees(self, kb, query):
+        covering = all_justifications(kb, query)
+        assert formula_from_justifications(covering, kb) == _reference_formula(covering, kb)
+
+    def test_crime(self, crime_kb, crime_query):
+        self._agrees(crime_kb, crime_query)
+
+    def test_chain(self):
+        for n in range(1, 9):
+            self._agrees(generate_synthetic(n), chain_query(n))
+
+    def test_corpus(self):
+        for kb, query in fuzz_corpus(2026, 200):
+            self._agrees(kb, query)
 
 
 class TestEvaluation:

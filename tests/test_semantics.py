@@ -16,6 +16,7 @@ from probalc.generators import (
     random_kb,
     random_query,
 )
+from probalc.justify import all_justifications
 from probalc.kb import (
     And,
     AnnotatedAxiom,
@@ -23,6 +24,7 @@ from probalc.kb import (
     ConceptAssertion,
     InstanceQuery,
     KnowledgeBase,
+    Not,
     SubClassOf,
 )
 from probalc.semantics import (
@@ -35,7 +37,7 @@ from probalc.semantics import (
     probability_query,
 )
 from probalc.pinpoint import Conj, Disj, Var, formula_from_justifications
-from probalc.tableau import CompiledKB, ResourceLimitError, entails
+from probalc.tableau import _ATOM, _NOT, CompiledKB, ResourceLimitError, entails
 
 
 class TestWorlds:
@@ -318,3 +320,75 @@ class TestProbabilityQuery:
         query = random_query(seed, kb)
         result = probability_query(kb, query)
         assert -1e-12 <= result.probability <= 1.0 + 1e-12
+
+
+def _spelled_tables(compiled):
+    """The ``unfold`` and ``gcis`` tables with every id spelled out by structure.
+
+    Ids depend on the order in which concepts were first met, so two KBs
+    that compile to the same tables may number them differently.  A
+    concept's parts always have smaller ids than it, so one pass in id
+    order spells every id.
+    """
+    names = {i: name for name, i in compiled._ids.items() if type(name) is str}
+    roles = {i: name for name, i in compiled._names.items()}
+    spelled = []
+    for c, kind in enumerate(compiled.kind):
+        left, right = compiled.left[c], compiled.right[c]
+        if kind == _ATOM:
+            spelled.append(names[c])
+        elif compiled.role[c] >= 0:
+            spelled.append((kind, roles[compiled.role[c]], spelled[left]))
+        else:
+            parts = [spelled[part] for part in (left, right) if part >= 0]
+            spelled.append((kind, *parts))
+    unfold = {
+        spelled[c]: [(bit, spelled[sup]) for bit, sup in pairs]
+        for c, pairs in enumerate(compiled.unfold)
+        if pairs
+    }
+    return unfold, [(bit, spelled[constraint]) for bit, constraint in compiled.gcis]
+
+
+def _atom_written(kb):
+    """``kb`` with each inclusion whose left side simplifies to an atom
+    rewritten to that atom, and the number of inclusions rewritten."""
+    probe = CompiledKB([])
+    rewritten = []
+    count = 0
+    for annotated in kb.axioms:
+        axiom = annotated.axiom
+        if type(axiom) is SubClassOf and type(axiom.sub) is not Atomic:
+            negated = probe.intern(Not(axiom.sub))
+            if probe.kind[negated] == _NOT:
+                atom = probe.left[negated]
+                name = next(name for name, i in probe._ids.items() if i == atom)
+                axiom = SubClassOf(Atomic(name), axiom.sup)
+                annotated = AnnotatedAxiom(axiom, annotated.probability)
+                count += 1
+        rewritten.append(annotated)
+    return KnowledgeBase(tuple(rewritten)), count
+
+
+def test_inclusions_absorb_on_their_normal_form():
+    """An inclusion whose left side simplifies to an atom compiles as if
+    that atom were written there: equal tables, covering sets and answers."""
+    rewrites = 0
+    for seed, count in ((2026, 200), (1, 150), (7, 150)):
+        for kb, query in fuzz_corpus(seed, count):
+            atomic, changed = _atom_written(kb)
+            if not changed:
+                continue
+            rewrites += changed
+            assert _spelled_tables(CompiledKB(kb.indexed())) == _spelled_tables(
+                CompiledKB(atomic.indexed())
+            )
+            for method in ("glassbox", "blackbox"):
+                assert (
+                    all_justifications(kb, query, method).justifications
+                    == all_justifications(atomic, query, method).justifications
+                )
+            assert probability_query(kb, query).probability == probability_query(
+                atomic, query
+            ).probability
+    assert rewrites >= 100

@@ -226,12 +226,16 @@ class TestAbsorption:
         assert not entails(negated, SubsumptionQuery(A, C))
 
     def test_absorbed_and_internalised_inclusions_agree(self):
-        """``A and Top <= C`` is never absorbed, so it checks ``A <= C``."""
+        """``A and (A or X) <= C`` is internalised, so it checks ``A <= C``.
+
+        The interner has no absorption law, so that left side stays a
+        conjunction, although it is equivalent to ``A``.
+        """
         checked = 0
         for kb, query in fuzz_corpus(2025, 80, max_axioms=8):
             axioms = axioms_of(kb)
             internalised = [
-                SubClassOf(And(a.sub, TOP), a.sup)
+                SubClassOf(And(a.sub, Or(a.sub, Atomic("X"))), a.sup)
                 if type(a) is SubClassOf and type(a.sub) is Atomic
                 else a
                 for a in axioms
@@ -377,8 +381,8 @@ def marks(monkeypatch):
 
 class TestPropagation:
     def test_an_internalised_inclusion_propagates(self, marks):
-        """``not A or B`` with ``A`` in the label adds ``B`` with both traces."""
-        indexed = [(0, ConceptAssertion("a", A)), (1, SubClassOf(And(A, Top()), B))]
+        """``A or B`` with ``not A`` in the label adds ``B`` with both traces."""
+        indexed = [(0, ConceptAssertion("a", Not(A))), (1, SubClassOf(Not(A), B))]
         assert CompiledKB(indexed).gcis != []
         assert trace_entailment(indexed, InstanceQuery("a", B)) == frozenset({0, 1})
         assert marks == [0]
@@ -397,6 +401,56 @@ class TestPropagation:
         kb = parse_kb("".join(f"a : A{i}\n" for i in range(300)))
         query = parse_query("a : " + " and ".join(f"A{i}" for i in range(300)))
         assert entails(axioms_of(kb), query)
+        assert marks == [0]
+
+
+class TestNormalFormAbsorption:
+    """Absorption is decided on the simplified normal form of the left side."""
+
+    ATOMIC = {
+        "A and Top": And(A, TOP),
+        "A or Bottom": Or(A, BOTTOM),
+        "A and A": And(A, A),
+        "not not A": Not(Not(A)),
+        "A or (B and not B)": Or(A, And(B, Not(B))),
+    }
+    OTHER = {
+        "not A": Not(A),
+        "A or C": Or(A, C),
+        "A and C": And(A, C),
+        "exists r. Top": Exists("r", TOP),
+        "Top": TOP,
+        "Bottom": BOTTOM,
+    }
+
+    @pytest.mark.parametrize("sub", ATOMIC.values(), ids=ATOMIC.keys())
+    def test_a_left_side_that_simplifies_to_an_atom_unfolds(self, sub):
+        compiled = CompiledKB([(0, ConceptAssertion("a", C)), (1, SubClassOf(sub, B))])
+        assert compiled.gcis == []
+        unfolded = {c: pairs for c, pairs in enumerate(compiled.unfold) if pairs}
+        assert unfolded == {compiled.intern(A): [(2, compiled.intern(B))]}
+
+    @pytest.mark.parametrize(
+        "axiom",
+        [SubClassOf(And(A, TOP), A), SubClassOf(A, Or(B, Not(B)))],
+        ids=["A and Top <= A", "A <= B or not B"],
+    )
+    def test_a_tautology_is_left_out(self, axiom):
+        compiled = CompiledKB([(0, axiom)])
+        assert compiled.gcis == [] and not any(compiled.unfold)
+
+    @pytest.mark.parametrize("sub", OTHER.values(), ids=OTHER.keys())
+    def test_other_left_sides_are_internalised(self, sub):
+        compiled = CompiledKB([(0, SubClassOf(sub, B))])
+        size = len(compiled.kind)
+        constraint = compiled.intern(Or(Not(sub), B))
+        assert len(compiled.kind) == size
+        assert compiled.gcis == ([] if compiled.kind[constraint] == _TOP else [(1, constraint)])
+        assert not any(compiled.unfold)
+
+    def test_an_absorbed_left_side_opens_no_branch_point(self, marks):
+        indexed = [(0, ConceptAssertion("a", A)), (1, SubClassOf(And(A, TOP), B))]
+        assert trace_entailment(indexed, InstanceQuery("a", B)) == frozenset({0, 1})
         assert marks == [0]
 
 
