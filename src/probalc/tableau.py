@@ -62,15 +62,30 @@ recursive descent, so an unfolding chain of any length fits in the
 Python stack.
 
 Every labeled concept carries a trace: the bitmask of the axioms its
-derivation used, or 0 throughout an untraced call.  Rule applications
-take the union of their premises' traces; applying an inclusion axiom,
-by unfolding or as an internalised disjunction, adds that axiom's own
-bit; a propagated side carries the union of its disjunction's trace and
-the complement's; a clash reports the union of the traces of the two
-clashing concepts.  When the refutation closes, the union of one clash
-trace per explored branch is an axiom set that still entails the query
+derivation used (none throughout an untraced call) and of the branch
+points it depends on.  Rule applications take the union of their
+premises' traces; applying an inclusion axiom, by unfolding or as an
+internalised disjunction, adds that axiom's own bit; a propagated side
+carries the union of its disjunction's trace and the complement's; a
+clash reports the union of the traces of the two clashing concepts.
+When the refutation closes, the axiom bits of the union of one clash
+trace per explored branch are an axiom set that still entails the query
 (usually a non-minimal one).  Propagation opens no branch: the side it
 adds carries its premises' traces into any clash it takes part in.
+
+A clash backjumps past the branch points it does not depend on
+(dependency-directed backtracking: Horrocks & Patel-Schneider; Prosser,
+*Hybrid algorithms for the constraint satisfaction problem*, Comput.
+Intell. 1993).  The branch point at depth d, counting only the branch
+points on the search stack, owns bit ``1 << (base + d)``, where ``base``
+is the bit length of the KB's axiom bits, so branch bits sit above every
+axiom bit.  Its first side is added with its bit, which then travels
+through traces exactly as axiom bits do: into propagated sides,
+unfoldings, value-restriction fillers and witness roots, so across graph
+boundaries too.  A clash whose trace lacks a branch point's bit would
+arise on its other side as well, so that side is never run.  A branch
+point whose sides both clash merges their traces and clears its own bit,
+and no branch bit leaves the search.
 
 Roles have no inverses, so the subtree below a fresh existential witness
 never constrains the rest of the graph.  Each witness is therefore
@@ -93,17 +108,18 @@ Patel-Schneider keep their branch points, so no input depth reaches the
 Python stack.  Both sides of a disjunction run on one graph, and the
 type of a stack entry says what it is:
 - a graph is a pending witness;
-- a ``(graph, node, side, trace, mark, opened)`` tuple is a branch point
-  with a side left, ``mark`` being the graph's size before the first side
-  and ``opened`` the number of open graphs then (below);
+- a ``(graph, node, side, trace, mark, opened, bit)`` tuple is a branch
+  point with a side left, ``mark`` being the graph's size before the
+  first side, ``opened`` the number of open graphs then (below) and
+  ``bit`` its own bit;
 - an int stands for a branch point whose last side is running: the
-  union of its first side's clash traces.
+  union of its first side's clash traces, its own bit cleared.
 An open branch goes on with the next pending witness, and a branch point
 reached first is satisfied and dropped.  A clash pops back to the last
-tuple, dropping the witnesses above it, cuts its graph back to the mark,
-puts the clash in its place and runs the last side; an int reached
-instead closes its branch point with the union of both sides.  No entry
-is changed once pushed.
+tuple whose bit it holds, dropping the witnesses and the tuples without
+it above that one, cuts its graph back to the mark, puts the clash in its
+place and runs the last side; an int reached instead closes its branch
+point with the union of both sides.  No entry is changed once pushed.
 
 A call that ends open has found a model: a complete, clash-free graph
 gives one in which every node is an element satisfying every concept in
@@ -565,10 +581,10 @@ def _refute(
     """Run the tableau on the axioms of ``kb`` in ``mask`` plus the goal assertion.
 
     Returns None when a clash-free completion graph exists (the axiom set
-    is consistent) and the union of one clash trace per explored branch
-    otherwise, a bitmask that is 0 when not ``traced``.  When the graph
-    exists and ``grown`` is a list, the axiom set its model satisfies is
-    appended to it (``_satisfied``).
+    is consistent) and otherwise the axiom bits of the union of one clash
+    trace per explored branch, a bitmask that is 0 when not ``traced``.
+    When the graph exists and ``grown`` is a list, the axiom set its model
+    satisfies is appended to it (``_satisfied``).
     """
     # A refutation can clash while its first graph is built, before the
     # loop's check, so an expired deadline is caught here first.
@@ -603,9 +619,13 @@ def _refute(
     kind, left, role_of = kb.kind, kb.left, kb.role
     # ``graph`` is the branch being searched; the module docstring gives
     # the three kinds of stack entry.  ``opened`` lists the graphs of the
-    # live branch that reached the open state.
+    # live branch that reached the open state.  ``depth`` counts the
+    # branch points on the stack; the next one owns bit ``1 << (base +
+    # depth)``, above every axiom bit.
     stack: list = []
     opened: list[_Graph] = []
+    base = kb.axioms.bit_length()
+    depth = 0
     while True:
         closed = graph.clash
         if closed is None:
@@ -614,7 +634,10 @@ def _refute(
             if pick is not None:
                 node, side, trace, other = pick
                 if other >= 0:
-                    stack.append((graph, node, other, trace, graph.mark(), len(opened)))
+                    bit = 1 << (base + depth)
+                    depth += 1
+                    stack.append((graph, node, other, trace, graph.mark(), len(opened), bit))
+                    trace |= bit
                 graph.add(node, side, trace)
                 continue
             # No disjunction is pending, so every label is final: build the
@@ -657,6 +680,7 @@ def _refute(
                 stack.extend(reversed(pending))
                 while stack and type(stack[-1]) is not _Graph:
                     stack.pop()
+                    depth -= 1
                 if not stack:
                     if grown is not None:
                         grown.append(_satisfied(kb, mask, nodes, opened))
@@ -664,22 +688,29 @@ def _refute(
                 graph = stack.pop()
                 continue
         # A clash closes the branch: pop back to the last branch point with a
-        # side left, dropping the witnesses above it, cut its graph back to
-        # the mark and run that side.  A branch point whose last side ran
+        # side left whose bit the clash holds, dropping the witnesses and the
+        # branch points it does not depend on above it, cut its graph back
+        # to the mark and run that side.  A branch point whose last side ran
         # closes with the union of both sides.
         while stack:
             entry = stack.pop()
-            if type(entry) is tuple:
-                graph, node, side, trace, mark, count = entry
-                stack.append(closed)
-                graph.undo(*mark)
-                del opened[count:]
-                graph.add(node, side, trace)
-                break
-            if type(entry) is int:
+            t = type(entry)
+            if t is tuple:
+                graph, node, side, trace, mark, count, bit = entry
+                if closed & bit:
+                    # Its bit is cleared here: the last side's clash cannot
+                    # hold it, since the undo drops every concept that does.
+                    stack.append(closed ^ bit)
+                    graph.undo(*mark)
+                    del opened[count:]
+                    graph.add(node, side, trace)
+                    break
+                depth -= 1
+            elif t is int:
+                depth -= 1
                 closed |= entry
         else:
-            return closed
+            return closed & kb.axioms
 
 
 def _satisfied(kb: CompiledKB, mask: int, nodes: dict[int, int], graphs: list[_Graph]) -> int:

@@ -47,3 +47,25 @@ def crime_certain_kb():
 @pytest.fixture(scope="session")
 def crime_query():
     return parse_query(CRIME_QUERY_TEXT)
+
+
+def branching_family(n: int, p: float = 0.9):
+    """The branching family of size n, with its closed-form answer.
+
+    ``p :: Ai <= Bi or Ci``, ``p :: Bi <= A(i+1)`` and ``p :: Ci <= A(i+1)``
+    for each i < n, queried with ``A0 <= An``.  Refuting it branches once
+    per i and closes all 2^n branches, and every clash derives ``An``
+    through every branch point above it, so backjumping prunes none.  The
+    query's one justification is all 3n axioms, so P = p^(3n).
+
+    Returns ``(kb, query, justification, probability)``.
+    """
+    lines = []
+    for i in range(n):
+        lines += [
+            f"{p} :: A{i} <= B{i} or C{i}",
+            f"{p} :: B{i} <= A{i + 1}",
+            f"{p} :: C{i} <= A{i + 1}",
+        ]
+    kb = parse_kb("\n".join(lines) + "\n")
+    return kb, parse_query(f"A0 <= A{n}"), frozenset(range(3 * n)), p ** (3 * n)

@@ -165,7 +165,7 @@ def test_criterion_5_random_corpus_agreement(criterion):
         assert 10 <= entailed <= 190
         # Reasoner calls, tree nodes and memo hits over the corpus: a change
         # to the search that alters its work shows here.
-        assert work == {"glassbox": [459, 228, 32], "blackbox": [954, 237, 78]}
+        assert work == {"glassbox": [455, 228, 33], "blackbox": [954, 237, 78]}
 
 
 def test_criterion_6_structural_invariants(criterion):

@@ -191,7 +191,7 @@ class TestAllJustifications:
                     totals[2] += covering.memo_hits
                 work[seed, method] = totals
         assert work == {
-            (1, "glassbox"): [343, 191, 57],
+            (1, "glassbox"): [333, 191, 56],
             (1, "blackbox"): [727, 177, 84],
             (7, "glassbox"): [274, 126, 17],
             (7, "blackbox"): [561, 127, 52],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -38,6 +39,8 @@ from probalc.semantics import (
 )
 from probalc.pinpoint import Conj, Disj, Var, formula_from_justifications
 from probalc.tableau import _ATOM, _NOT, CompiledKB, ResourceLimitError, entails
+
+from conftest import branching_family
 
 
 class TestWorlds:
@@ -220,6 +223,14 @@ class TestProbabilityQuery:
         result = probability_query(generate_synthetic(1), chain_query(1))
         assert math.isclose(result.probability, 0.504, abs_tol=1e-12)
 
+    @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
+    def test_branching_family_closed_form(self, method):
+        """Exhaustive branching answers its one justification and p^(3n)."""
+        kb, query, justification, probability = branching_family(6)
+        result = probability_query(kb, query, RunConfig(method=method))
+        assert result.covering.justifications == frozenset({justification})
+        assert math.isclose(result.probability, probability, rel_tol=1e-12)
+
     def test_unentailed_query(self, crime_kb):
         result = probability_query(crime_kb, InstanceQuery("alyona", Atomic("GreatMan")))
         assert result.probability == 0.0
@@ -292,7 +303,8 @@ class TestProbabilityQuery:
         into the answer's manager it must be the answer's root.  The world
         sum must also agree with the answer within 1e-9.
         """
-        for kb, query in fuzz_corpus(2026, 200):
+        corpora = (fuzz_corpus(2026, 200), fuzz_corpus(1, 150), fuzz_corpus(7, 150))
+        for kb, query in itertools.chain(*corpora):
             result = probability_query(kb, query)
             compiled = CompiledKB(kb.indexed())
             certain = sum(1 << i for i in kb.certain_indices)

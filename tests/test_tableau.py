@@ -69,6 +69,8 @@ from probalc.tableau import (
     trace_entailment,
 )
 
+from conftest import branching_family
+
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
 
@@ -402,6 +404,119 @@ class TestPropagation:
         query = parse_query("a : " + " and ".join(f"A{i}" for i in range(300)))
         assert entails(axioms_of(kb), query)
         assert marks == [0]
+
+
+# ---------------------------------------------------------------------------
+# Dependency-directed backjumping
+
+
+@pytest.fixture
+def undos(monkeypatch):
+    """The number of branch points whose last side has run so far."""
+    undo = _Graph.undo
+    ran = [0]
+
+    def counted(graph, *mark):
+        ran[0] += 1
+        return undo(graph, *mark)
+
+    monkeypatch.setattr(_Graph, "undo", counted)
+    return ran
+
+
+def _extension(concept, domain, atoms, roles):
+    """The elements of a finite interpretation that are in the concept.
+
+    ``atoms`` maps atom names to their extensions and ``roles`` role names
+    to their sets of ``(subject, object)`` pairs.
+    """
+    t = type(concept)
+    if t is Atomic:
+        return atoms.get(concept.name, set())
+    if t is Top:
+        return domain
+    if t is Bottom:
+        return set()
+    if t is Not:
+        return domain - _extension(concept.arg, domain, atoms, roles)
+    if t is And or t is Or:
+        one = _extension(concept.left, domain, atoms, roles)
+        two = _extension(concept.right, domain, atoms, roles)
+        return one & two if t is And else one | two
+    fillers = _extension(concept.filler, domain, atoms, roles)
+    pairs = roles.get(concept.role, set())
+    successors = {x: {y for s, y in pairs if s == x} for x in domain}
+    if t is Exists:
+        return {x for x in domain if successors[x] & fillers}
+    return {x for x in domain if successors[x] <= fillers}
+
+
+def _is_countermodel(kb, query, domain, atoms, roles) -> bool:
+    """Does the interpretation satisfy every inclusion and concept assertion
+    of the KB, and not the instance query?"""
+    for axiom in axioms_of(kb):
+        if isinstance(axiom, SubClassOf):
+            holds = _extension(axiom.sub, domain, atoms, roles) <= _extension(
+                axiom.sup, domain, atoms, roles
+            )
+        else:
+            holds = axiom.individual in _extension(axiom.concept, domain, atoms, roles)
+        if not holds:
+            return False
+    return query.individual not in _extension(query.concept, domain, atoms, roles)
+
+
+# Each KB's first branch point is ``a``'s first disjunction.  Its first side
+# clashes by the named route, and its second side is open, as the
+# countermodel ``(domain, atoms, roles)`` shows.  A search that lost the
+# branch point's bit on that route would jump past it and answer entailed.
+JUMP_ROUTES = {
+    "unfolding": (
+        "a : B1 or B2\nB1 <= not C\na : C\n",
+        ({"a"}, {"B2": {"a"}, "C": {"a"}}, {}),
+    ),
+    "propagated side": (
+        "a : B1 or B2\na : not B1 or E\nE <= Bottom\n",
+        ({"a"}, {"B2": {"a"}}, {}),
+    ),
+    "forall filler in a witness root": (
+        "a : (forall r. not E) or (B2 and B3)\na : exists r. E\n",
+        ({"a", "w"}, {"B2": {"a"}, "B3": {"a"}, "E": {"w"}}, {"r": {("a", "w")}}),
+    ),
+    "exists witness": (
+        "a : (exists r. E) or B2\nE <= Bottom\n",
+        ({"a"}, {"B2": {"a"}}, {}),
+    ),
+}
+
+
+class TestBackjumping:
+    """A clash skips the second side of every branch point it does not depend on."""
+
+    def test_a_clash_below_every_branch_point_jumps_past_all(self, undos):
+        """Twelve open disjunctions, then a witness that clashes on its own.
+
+        Without backjumping each of the 4,096 branches builds the witness
+        and clashes again, and the search undoes 4,095 times.
+        """
+        axioms = [ConceptAssertion("a", Or(Atomic(f"A{i}"), Atomic(f"B{i}"))) for i in range(12)]
+        axioms += [ConceptAssertion("a", Exists("r", Atomic("D"))), SubClassOf(Atomic("D"), BOTTOM)]
+        assert not is_consistent(axioms)
+        assert undos == [0]
+        assert trace_entailment(enumerate(axioms), InstanceQuery("a", C)) == frozenset({12, 13})
+        assert undos == [0]
+
+    @pytest.mark.parametrize("route", JUMP_ROUTES)
+    def test_a_first_side_clash_keeps_its_branch_point(self, undos, route):
+        text, (domain, atoms, roles) = JUMP_ROUTES[route]
+        kb = parse_kb("".join(f"0.5 :: {line}\n" for line in text.splitlines()))
+        query = parse_query("a : B")
+        assert _is_countermodel(kb, query, domain, atoms, roles)
+        assert not entails(axioms_of(kb), query)
+        # The first side clashed and the second side ran.
+        assert undos == [1]
+        assert probability_query(kb, query).probability == 0.0
+        assert probability_bruteforce(kb, query) == 0.0
 
 
 class TestNormalFormAbsorption:
@@ -807,7 +922,10 @@ def test_undo_restores_the_marked_graph(monkeypatch, crime_kb, crime_query):
 
     monkeypatch.setattr(_Graph, "mark", marked)
     monkeypatch.setattr(_Graph, "undo", checked)
-    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query)]:
+    # Backjumping prunes most of the corpus's undos; the branching family
+    # undoes every branch point it opens.
+    family = branching_family(8)[:2]
+    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query), family]:
         for method in ("glassbox", "blackbox"):
             all_justifications(kb, query, method)
     assert undos > 1000, undos
