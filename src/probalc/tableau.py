@@ -113,13 +113,38 @@ type of a stack entry says what it is:
   first side, ``opened`` the number of open graphs then (below) and
   ``bit`` its own bit;
 - an int stands for a branch point whose last side is running: the
-  union of its first side's clash traces, its own bit cleared.
+  union of its first side's clash traces, its own bit cleared;
+- a ``_Subtree`` record sits below the subtree of a witness being
+  searched (below).  It is not a branch point.
 An open branch goes on with the next pending witness, and a branch point
 reached first is satisfied and dropped.  A clash pops back to the last
-tuple whose bit it holds, dropping the witnesses and the tuples without
-it above that one, cuts its graph back to the mark, puts the clash in its
-place and runs the last side; an int reached instead closes its branch
-point with the union of both sides.  No entry is changed once pushed.
+tuple whose bit it holds, dropping the witnesses, the records and the
+tuples without it above that one, cuts its graph back to the mark, puts
+the clash in its place and runs the last side; an int reached instead
+closes its branch point with the union of both sides.  No entry is
+changed once pushed, except a record's ``cacheable`` flag.
+
+Within one call, a witness whose root label was already shown to have a
+model is not searched again (satisfiability caching, as in Goré &
+Nguyen, TABLEAUX 2007, and Horrocks & Patel-Schneider).  A root's key is
+its label as built: the filler, the universal fillers, the internalised
+inclusions and what they unfold to.  The call's mask is fixed, so roots
+with equal keys ask the same question.  A witness popped to be searched
+gets a record holding its key and the number of open graphs then.  When
+the open path pops the record, the whole subtree ended open, and its
+open graphs are kept under the key for the rest of the call, as one
+nested list that also stands for them in the list of open graphs; a
+clash drops the record, and nothing is kept for it.  A popped witness
+whose key has graphs kept is not searched: their list joins the open
+graphs instead, so the countermodel check still sees a model for it.
+Nested by reference, a chain or a tree of reused subtrees costs one
+entry per subtree, not a copy of every graph below it.  Roles have no
+inverses, so a subtree is a model of its root wherever that root
+appears, unless a node in it was blocked by an ancestor outside it.
+Such a node leans on that ancestor, whose other witnesses may still
+fail, and the same root elsewhere need not have that ancestor.  So when
+a node is blocked, every record on the stack whose root has the
+innermost blocker among its ancestors is no longer cacheable.
 
 A call that ends open has found a model: a complete, clash-free graph
 gives one in which every node is an element satisfying every concept in
@@ -127,9 +152,9 @@ its label (the tableau's soundness lemma), blocked nodes included.  The
 search lists the graphs that reached the open state, and a backtrack cuts
 that list back to the branch point's count, as ``undo`` cuts the labels
 back, so at the end it holds exactly the ABox graph and the live witness
-graphs.  When the caller asks for it, an open call reports the axiom set
-that model satisfies: the mask plus each axiom outside it that a check
-shows satisfied, conservatively:
+graphs, those of reused subtrees included.  When the caller asks for
+it, an open call reports the axiom set that model satisfies: the mask
+plus each axiom outside it that a check shows satisfied, conservatively:
 - an absorbed ``A <= C`` when no node has ``A`` in its label without ``C``;
 - an internalised inclusion when every node's label holds its constraint,
   or one side of it if the constraint is an ``or``;
@@ -399,7 +424,9 @@ class _Graph:
     ``edges`` maps ``(node, role)`` to the successors and their traces; it
     is fixed before the search.  All nodes are built, each with the
     internalised inclusions, when the graph is: the ABox graph has one per
-    individual and a witness graph one, its root.
+    individual and a witness graph one, its root.  A witness graph's
+    ``key`` is its root's label as built, the key of the module
+    docstring's cache.
 
     ``ancestors`` holds the label key views of the nodes whose witness
     chain led to this graph, outermost first (empty for the ABox graph),
@@ -422,6 +449,7 @@ class _Graph:
 
     __slots__ = (
         "kb", "mask", "seen", "labels", "disjunctions", "cursors", "edges", "ancestors", "clash",
+        "key",
     )
 
     def __init__(
@@ -564,6 +592,22 @@ class _Graph:
         return branch
 
 
+class _Subtree:
+    """A witness being searched, on the search stack below its subtree.
+
+    ``key`` is the label of the witness's root as built and ``start`` the
+    number of open graphs when its search began.  ``cacheable`` is cleared
+    when a node of the subtree is blocked by one of the root's ancestors.
+    """
+
+    __slots__ = ("key", "start", "cacheable")
+
+    def __init__(self, key: frozenset[int], start: int):
+        self.key = key
+        self.start = start
+        self.cacheable = True
+
+
 def _budget_exhausted() -> ResourceLimitError:
     return ResourceLimitError(
         f"node budget of {NODE_BUDGET} exhausted", {"nodes_created": NODE_BUDGET + 1}
@@ -618,12 +662,20 @@ def _refute(
         graph.add(node, concept, trace)
     kind, left, role_of = kb.kind, kb.left, kb.role
     # ``graph`` is the branch being searched; the module docstring gives
-    # the three kinds of stack entry.  ``opened`` lists the graphs of the
-    # live branch that reached the open state.  ``depth`` counts the
+    # the four kinds of stack entry.  ``opened`` lists the graphs of the
+    # live branch that reached the open state, each kept subtree as one
+    # nested list of its own (below).  ``depth`` counts the
     # branch points on the stack; the next one owns bit ``1 << (base +
-    # depth)``, above every axiom bit.
+    # depth)``, above every axiom bit.  ``active`` lists the subtree
+    # records on the stack, outermost first: those of the witness chain
+    # that led to the graph being searched, so ``active[i]`` is the record
+    # of the witness with ``i + 1`` ancestors.  ``models`` maps the root
+    # label of each witness whose subtree ended open, leaning on no
+    # blocker outside itself, to the open graphs of that subtree.
     stack: list = []
-    opened: list[_Graph] = []
+    opened: list = []
+    active: list[_Subtree] = []
+    models: dict[frozenset[int], list] = {}
     base = kb.axioms.bit_length()
     depth = 0
     while True:
@@ -655,9 +707,17 @@ def _refute(
                     if any(filler in graph.labels[s] for s in edges):
                         continue
                     if above is None:
-                        if any(label.keys() <= keys for keys in graph.ancestors):
+                        ancestors = graph.ancestors
+                        at = len(ancestors) - 1
+                        while at >= 0 and not label.keys() <= ancestors[at]:
+                            at -= 1
+                        if at >= 0:
+                            # Blocked: the subtrees that do not hold the
+                            # innermost blocker lean on a label outside them.
+                            for record in active[at:]:
+                                record.cacheable = False
                             break
-                        above = graph.ancestors + (label.keys(),)
+                        above = ancestors + (label.keys(),)
                     created += 1
                     if created > NODE_BUDGET:
                         raise _budget_exhausted()
@@ -670,27 +730,49 @@ def _refute(
                     closed = witness.clash
                     if closed is not None:
                         break
+                    witness.key = frozenset(witness.labels[0])
                     pending.append(witness)
                 if closed is not None:
                     break
             else:
-                # The branch is open: go on with the next pending witness.
-                # A branch point reached first is satisfied by this branch.
+                # The branch is open: go on with the next pending witness
+                # whose root has no model yet.  A branch point reached
+                # first is satisfied by this branch, and a subtree record
+                # reached first ended open.
                 opened.append(graph)
                 stack.extend(reversed(pending))
-                while stack and type(stack[-1]) is not _Graph:
-                    stack.pop()
-                    depth -= 1
-                if not stack:
+                while stack:
+                    entry = stack.pop()
+                    t = type(entry)
+                    if t is _Graph:
+                        model = models.get(entry.key)
+                        if model is None:
+                            break
+                        opened.append(model)
+                    elif t is _Subtree:
+                        active.pop()
+                        if entry.cacheable:
+                            # One entry, so enclosing subtrees and reuses
+                            # hold it by reference, not by copy.
+                            model = opened[entry.start:]
+                            del opened[entry.start:]
+                            opened.append(model)
+                            models[entry.key] = model
+                    else:
+                        depth -= 1
+                else:
                     if grown is not None:
                         grown.append(_satisfied(kb, mask, nodes, opened))
                     return None
-                graph = stack.pop()
+                graph = entry
+                record = _Subtree(graph.key, len(opened))
+                stack.append(record)
+                active.append(record)
                 continue
         # A clash closes the branch: pop back to the last branch point with a
-        # side left whose bit the clash holds, dropping the witnesses and the
-        # branch points it does not depend on above it, cut its graph back
-        # to the mark and run that side.  A branch point whose last side ran
+        # side left whose bit the clash holds, dropping the witnesses, the
+        # subtree records and the branch points it does not depend on above
+        # it, cut its graph back to the mark and run that side.  A branch point whose last side ran
         # closes with the union of both sides.
         while stack:
             entry = stack.pop()
@@ -709,21 +791,34 @@ def _refute(
             elif t is int:
                 depth -= 1
                 closed |= entry
+            elif t is _Subtree:
+                active.pop()
         else:
             return closed & kb.axioms
 
 
-def _satisfied(kb: CompiledKB, mask: int, nodes: dict[int, int], graphs: list[_Graph]) -> int:
+def _satisfied(kb: CompiledKB, mask: int, nodes: dict[int, int], graphs: list) -> int:
     """``mask`` plus each axiom outside it that the open graphs' model satisfies.
 
     ``graphs`` holds the ABox graph first, then the live witness graphs,
-    and ``nodes`` maps individual ids to ABox nodes.  The module docstring
-    gives the checks; each leaves out what it cannot show.
+    and ``nodes`` maps individual ids to ABox nodes.  The graphs of a kept
+    subtree sit in a nested list, which may recur at any depth: each list
+    is read once.  The module docstring gives the checks; each leaves out
+    what it cannot show.
     """
     absent = kb.axioms & ~mask
     if not absent:
         return mask
-    labels = [label for graph in graphs for label in graph.labels]
+    labels = []
+    lists = [graphs]
+    read = set()
+    while lists:
+        for item in lists.pop():
+            if type(item) is not list:
+                labels += item.labels
+            elif id(item) not in read:
+                read.add(id(item))
+                lists.append(item)
     for sub, pairs in enumerate(kb.unfold):
         for bit, sup in pairs:
             if bit & absent and any(sub in label and sup not in label for label in labels):

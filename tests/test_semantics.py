@@ -303,7 +303,13 @@ class TestProbabilityQuery:
         into the answer's manager it must be the answer's root.  The world
         sum must also agree with the answer within 1e-9.
         """
-        corpora = (fuzz_corpus(2026, 200), fuzz_corpus(1, 150), fuzz_corpus(7, 150))
+        corpora = (
+            fuzz_corpus(2026, 200),
+            fuzz_corpus(1, 150),
+            fuzz_corpus(7, 150),
+            fuzz_corpus(3, 300),
+            fuzz_corpus(11, 300),
+        )
         for kb, query in itertools.chain(*corpora):
             result = probability_query(kb, query)
             compiled = CompiledKB(kb.indexed())

@@ -570,6 +570,104 @@ class TestNormalFormAbsorption:
 
 
 # ---------------------------------------------------------------------------
+# Witness subtrees that ended open, reused within one call
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The number of completion graphs built so far."""
+    init = _Graph.__init__
+    graphs = [0]
+
+    def counted(graph, *args):
+        graphs[0] += 1
+        init(graph, *args)
+
+    monkeypatch.setattr(_Graph, "__init__", counted)
+    return graphs
+
+
+class TestWitnessCache:
+    def test_a_subtree_blocked_outside_itself_is_not_reused(self):
+        """``a : exists r. A`` with ``A <= exists r. B``, ``B <= exists r. C``
+        and ``C <= Bottom`` has no model: a's r-successor in A needs one in B,
+        which needs one in C.  So the KB is inconsistent, and the query
+        holds in exactly the worlds that choose ``C <= Bottom``: P = 0.5.
+
+        On the first side of ``X1 or X2``, a holds A, so the root
+        ``{A, exists r. B}`` of a's r-witness is blocked by a and ends open,
+        before a's witness for ``exists r. B`` fails.  The second side
+        builds the same root, which a no longer blocks.  A search that
+        reused the first side's subtree there would find a model.
+        """
+        kb = parse_kb(
+            "a : exists r. A\n"
+            "a : X1 or X2\n"
+            "X1 <= A\n"
+            "A <= exists r. B\n"
+            "B <= exists r. C\n"
+            "0.5 :: C <= Bottom\n"
+        )
+        query = parse_query("a : D")
+        assert not is_consistent(axioms_of(kb))
+        result = probability_query(kb, query)
+        assert result.covering.justifications == {frozenset({0, 3, 4, 5})}
+        assert result.probability == 0.5
+
+    # ``a``'s two witnesses build the same root, and the first root's
+    # successor is blocked.  Inside, by the first root: its subtree is
+    # reused, and the second root is not searched (5 graphs without the
+    # cache).  Outside, by ``a``: the second root is searched again (4
+    # graphs if the subtree were reused).
+    BLOCKED = {
+        "inside": ("a : exists r. A\na : exists s. A\nA <= exists r. A\n", 4),
+        "outside": ("a : A\nA <= exists r. D\nD <= exists r. A\na : exists s. D\n", 5),
+    }
+
+    @pytest.mark.parametrize("where", BLOCKED)
+    def test_a_subtree_is_reused_only_when_blocked_inside_itself(self, built, where):
+        text, graphs = self.BLOCKED[where]
+        assert is_consistent(axioms_of(parse_kb(text)))
+        assert built == [graphs]
+
+    def test_reused_subtrees_are_held_by_reference(self, built):
+        """``Ai <= (exists r. A(i-1)) and (exists s. A(i-1))`` for i <= 20
+        asks for a tree of 2^20 witnesses with two equal roots at each level.
+
+        Without the cache the search exhausts the node budget.  With it, each
+        level searches one root and reuses its subtree for the other, and
+        the open graphs the countermodel check reads hold each subtree once,
+        not 2^20 graphs.  ``a : C`` is left out, so the check runs.
+        """
+        levels = "".join(
+            f"A{i} <= (exists r. A{i - 1}) and (exists s. A{i - 1})\n" for i in range(1, 21)
+        )
+        kb = parse_kb("a : A20\n" + levels + "a : C\n")
+        compiled = CompiledKB(kb.indexed())
+        mask = (1 << 21) - 1
+        grown = []
+        tracemalloc.start()
+        try:
+            assert not entails(compiled, parse_query("a : B"), mask=mask, grown=grown)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grown == [mask]
+        assert built == [41]
+        assert peak < 1 << 20, peak
+
+    def test_corpus_graphs_are_pinned(self, built):
+        """The cache's saving as graph counts (36 and 1,339 without it)."""
+        corpus = list(fuzz_corpus(2026, 200))
+        probability_query(*corpus[32])
+        assert built == [22]
+        built[0] = 0
+        for kb, query in corpus:
+            probability_query(kb, query)
+        assert built == [1088]
+
+
+# ---------------------------------------------------------------------------
 # The compiled knowledge base
 
 
@@ -886,7 +984,12 @@ def test_agenda_picks_what_the_full_scan_picks(monkeypatch, crime_kb, crime_quer
         return got
 
     monkeypatch.setattr(_Graph, "next_disjunction", checked)
-    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query)]:
+    # Each of the 300 disjunctions propagates, against a label that grows.
+    propagating = (
+        parse_kb("".join(f"a : A{i} or B{i}\na : not A{i}\n" for i in range(300))),
+        parse_query("a : B0"),
+    )
+    for kb, query in [*fuzz_corpus(2026, 200), (crime_kb, crime_query), propagating]:
         for method in ("glassbox", "blackbox"):
             all_justifications(kb, query, method)
     # Every outcome, and picks that skip satisfied disjunctions, must occur.
