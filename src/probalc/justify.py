@@ -15,15 +15,16 @@ memo-then-reasoner step, ``_Session.ask``.  Entailment is monotone in the
 axiom set, so every set known not to entail the query answers all of its
 subsets; the session keeps the maximal such sets and answers a question
 about a subset of one of them without a reasoner call.  Otherwise it
-makes exactly one call, traced or not.  A "no" comes with a countermodel,
-the tableau's open completion, and is recorded as the set of axioms that
-model satisfies: the question's set plus every other axiom the tableau
-shows that model satisfies, none of which can restore the entailment.  Growing
-each "no" this way, as MUS/MCS enumeration grows a satisfiable subset
-with the solver's model (Marques-Silva et al., *On computing minimal
-correction subsets*, IJCAI 2013), lets one call answer every later
-question inside that set; on the chain family the glass-box route makes
-one call per justification plus one per maximal non-entailing set.
+makes exactly one call, which traces; ``traced`` only picks whether a
+"yes" returns the trace or the question's set.  A "no" comes with a
+countermodel, the tableau's open completion, recorded as the axiom set
+that model satisfies: the question's set plus every other axiom the
+tableau shows it satisfies, none of which can restore the entailment.
+Growing each "no" this way, as MUS/MCS enumeration grows a satisfiable
+subset with the solver's model (Marques-Silva et al., *On computing
+minimal correction subsets*, IJCAI 2013), lets one call answer every
+later question inside that set; on the chain family the glass-box route
+makes one call per justification plus one per maximal non-entailing set.
 
 Most such questions are settled without being asked.  One pass over the
 known sets (``_Session.necessary``) names every axiom of a set whose
@@ -140,8 +141,8 @@ class _Session:
     def ask(self, mask: int, traced: bool) -> int | None:
         """An entailing subset of ``mask``, or None when ``mask`` does not entail the query.
 
-        Answers from the memo or makes exactly one reasoner call.  A yes
-        returns the tableau's axiom trace when ``traced``, else ``mask``.
+        Answers from the memo or makes exactly one reasoner call, which
+        traces; ``traced`` only picks whether a yes returns the trace or ``mask``.
         """
         for known in self._negative:
             if not mask & ~known:

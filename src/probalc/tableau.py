@@ -1,12 +1,14 @@
 """Tableau decision procedure for ALC with axiom tracing.
 
-Entailment is decided by refutation: the query's counter-assertions are
-added and the procedure searches for a clash-free completion graph.  Rule
-priority is fixed (clash detection, then conjunction, value restriction
-and unfolding, then propagating a disjunction, then branching on one,
-then existential generation) with nodes visited in creation order, so
-runs are fully deterministic.  Deferring branching and node generation
-this way also keeps traces small.
+Entailment is decided by refutation: the query's counter-assertion is
+added and the procedure searches for a clash-free completion graph.
+Consistency is not entailing ``Top <= Bottom``, whose counter-assertion
+puts a fresh individual in ``Top``, a node even without individuals.
+Rule priority is fixed (clash detection, then conjunction, value
+restriction and unfolding, then propagating a disjunction, then
+branching on one, then existential generation) with nodes visited in
+creation order, so runs are fully deterministic.  Deferring branching
+and node generation this way also keeps traces small.
 
 The search runs on a compiled knowledge base (Horrocks & Patel-Schneider,
 *Optimizing description logic subsumption*, J. Logic Comput. 1999, call
@@ -62,12 +64,12 @@ recursive descent, so an unfolding chain of any length fits in the
 Python stack.
 
 Every labeled concept carries a trace: the bitmask of the axioms its
-derivation used (none throughout an untraced call) and of the branch
-points it depends on.  Rule applications take the union of their
-premises' traces; applying an inclusion axiom, by unfolding or as an
-internalised disjunction, adds that axiom's own bit; a propagated side
-carries the union of its disjunction's trace and the complement's; a
-clash reports the union of the traces of the two clashing concepts.
+derivation used and of the branch points it depends on.  Rule
+applications take the union of their premises' traces; applying an
+inclusion axiom, by unfolding or as an internalised disjunction, adds
+that axiom's own bit; a propagated side carries the union of its
+disjunction's trace and the complement's; a clash reports the union of
+the traces of the two clashing concepts.
 When the refutation closes, the axiom bits of the union of one clash
 trace per explored branch are an axiom set that still entails the query
 (usually a non-minimal one).  Propagation opens no branch: the side it
@@ -176,6 +178,7 @@ from .kb import (
     Atomic,
     Axiom,
     Bottom,
+    BOTTOM,
     Concept,
     ConceptAssertion,
     Exists,
@@ -189,6 +192,7 @@ from .kb import (
     SubClassOf,
     SubsumptionQuery,
     Top,
+    TOP,
 )
 
 # The most completion-graph nodes one call may build.
@@ -248,7 +252,8 @@ class CompiledKB:
     existential has the filler ``Bottom`` or universal the filler ``Top``.
 
     Axiom ``i`` owns bit ``1 << i``, and ``axioms`` is the union of the
-    bits of every axiom given.  In ascending index order, ``gcis``
+    bits of every axiom given; a negative or repeated index is a
+    ValueError.  In ascending index order, ``gcis``
     holds the internalised inclusions as ``(bit, not sub or sup)``,
     ``unfold[c]`` the ``(bit, sup)`` pairs of the absorbed inclusions
     whose left side simplifies to atom ``c``, tautologies left out of
@@ -278,6 +283,9 @@ class CompiledKB:
         self._query: Query | None = None
         self._goal = (-1, -1)
         for index, axiom in indexed_axioms:
+            if index < 0 or self.axioms >> index & 1:
+                problem = "negative" if index < 0 else "repeated"
+                raise ValueError(f"axiom index {index} is {problem}")
             bit = 1 << index
             t = type(axiom)
             if t is SubClassOf:
@@ -415,9 +423,8 @@ class CompiledKB:
 class _Graph:
     """The completion graph of the branch being searched, undone on backtrack.
 
-    Only the axioms of ``kb`` in ``mask`` take part; ``seen`` is ``mask``
-    in a traced call and 0 otherwise, so ``bit & seen`` is an axiom's
-    trace.  ``labels[n]`` maps each concept id in node n's label to its
+    Only the axioms of ``kb`` in ``mask`` take part, each traced with its
+    bit.  ``labels[n]`` maps each concept id in node n's label to its
     trace; insertion order doubles as the deterministic scan order.  The
     agenda ``disjunctions[n]`` lists the disjunctions of that label in the
     same order, and every one before ``cursors[n]`` is satisfied.
@@ -448,16 +455,12 @@ class _Graph:
     """
 
     __slots__ = (
-        "kb", "mask", "seen", "labels", "disjunctions", "cursors", "edges", "ancestors", "clash",
-        "key",
+        "kb", "mask", "labels", "disjunctions", "cursors", "edges", "ancestors", "clash", "key",
     )
 
-    def __init__(
-        self, kb: CompiledKB, mask: int, seen: int, edges: dict, size: int, ancestors: tuple
-    ):
+    def __init__(self, kb: CompiledKB, mask: int, edges: dict, size: int, ancestors: tuple):
         self.kb = kb
         self.mask = mask
-        self.seen = seen
         self.labels: list[dict[int, int]] = [{} for _ in range(size)]
         self.disjunctions: list[list[int]] = [[] for _ in range(size)]
         self.cursors = [0] * size
@@ -467,7 +470,7 @@ class _Graph:
         for node in range(size):
             for bit, constraint in kb.gcis:
                 if bit & mask:
-                    self.add(node, constraint, bit & seen)
+                    self.add(node, constraint, bit)
 
     def mark(self) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
         """Each node's label and agenda lengths, and a copy of the cursors."""
@@ -514,10 +517,10 @@ class _Graph:
                             # Its pop would come next, so go on with it here.
                             bit, sup = unfold[0]
                             if bit & self.mask:
-                                concept, trace = sup, trace | (bit & self.seen)
+                                concept, trace = sup, trace | bit
                                 continue
                         else:
-                            mask, seen = self.mask, self.seen
+                            mask = self.mask
                             if stack is None:
                                 stack = []
                             # Indexed: reversed() would allocate an iterator.
@@ -526,7 +529,7 @@ class _Graph:
                                 at -= 1
                                 bit, sup = unfold[at]
                                 if bit & mask:
-                                    stack.append((node, sup, trace | (bit & seen)))
+                                    stack.append((node, sup, trace | bit))
                 elif k == _OR:
                     self.disjunctions[node].append(concept)
                 elif k == _AND:
@@ -617,23 +620,21 @@ def _budget_exhausted() -> ResourceLimitError:
 def _refute(
     kb: CompiledKB,
     mask: int,
-    traced: bool,
-    goal: tuple[int, int] | None,
+    goal: tuple[int, int],
     deadline: Deadline,
     grown: list[int] | None = None,
 ) -> int | None:
     """Run the tableau on the axioms of ``kb`` in ``mask`` plus the goal assertion.
 
     Returns None when a clash-free completion graph exists (the axiom set
-    is consistent) and otherwise the axiom bits of the union of one clash
-    trace per explored branch, a bitmask that is 0 when not ``traced``.
-    When the graph exists and ``grown`` is a list, the axiom set its model
-    satisfies is appended to it (``_satisfied``).
+    plus the goal is consistent) and otherwise the axiom bits of the union
+    of one clash trace per explored branch.  When the graph exists and
+    ``grown`` is a list, the axiom set its model satisfies is appended to
+    it (``_satisfied``).
     """
     # A refutation can clash while its first graph is built, before the
     # loop's check, so an expired deadline is caught here first.
     deadline.check()
-    seen = mask if traced else 0
     # Each individual gets a node at its first mention; a repeated role
     # assertion keeps the first one's trace.
     nodes: dict[int, int] = {}
@@ -643,21 +644,18 @@ def _refute(
         if bit & mask:
             node = nodes.setdefault(subject, len(nodes))
             if obj < 0:
-                asserted.append((node, what, bit & seen))
+                asserted.append((node, what, bit))
             else:
                 successor = nodes.setdefault(obj, len(nodes))
-                edges.setdefault((node, what), {}).setdefault(successor, bit & seen)
-    if goal is not None:
-        individual, concept = goal
-        asserted.append((nodes.setdefault(individual, len(nodes)), concept, 0))
+                edges.setdefault((node, what), {}).setdefault(successor, bit)
+    individual, concept = goal
+    asserted.append((nodes.setdefault(individual, len(nodes)), concept, 0))
     # Nodes are made only here and for each witness root, and counted
     # before the graph that holds them is built.
-    created = len(nodes) or 1
+    created = len(nodes)
     if created > NODE_BUDGET:
         raise _budget_exhausted()
-    # The domain is never empty: without individuals, a single anonymous
-    # element must still satisfy every inclusion axiom.
-    graph = _Graph(kb, mask, seen, edges, created, ())
+    graph = _Graph(kb, mask, edges, created, ())
     for node, concept, trace in asserted:
         graph.add(node, concept, trace)
     kind, left, role_of = kb.kind, kb.left, kb.role
@@ -722,7 +720,7 @@ def _refute(
                     if created > NODE_BUDGET:
                         raise _budget_exhausted()
                     trace = label[concept]
-                    witness = _Graph(kb, mask, seen, {}, 1, above)
+                    witness = _Graph(kb, mask, {}, 1, above)
                     witness.add(0, filler, trace)
                     for other, other_trace in label.items():
                         if kind[other] == _FORALL and role_of[other] == role:
@@ -842,8 +840,8 @@ def _satisfied(kb: CompiledKB, mask: int, nodes: dict[int, int], graphs: list) -
 
 
 def is_consistent(axioms: Iterable[Axiom], *, deadline: Deadline = NO_DEADLINE) -> bool:
-    """Does the axiom set have a model?"""
-    return _refute(CompiledKB(enumerate(axioms)), -1, False, None, deadline) is None
+    """Does the axiom set have a model, that is, not entail ``Top <= Bottom``?"""
+    return not entails(axioms, SubsumptionQuery(TOP, BOTTOM), deadline=deadline)
 
 
 def entails(
@@ -864,7 +862,7 @@ def entails(
     entails the query either.
     """
     kb = axioms if type(axioms) is CompiledKB else CompiledKB(enumerate(axioms))
-    return _refute(kb, mask, False, kb.refutation(query), deadline, grown) is not None
+    return _refute(kb, mask, kb.refutation(query), deadline, grown) is not None
 
 
 def trace_entailment(
@@ -885,7 +883,7 @@ def trace_entailment(
     """
     compiled = type(indexed_axioms) is CompiledKB
     kb = indexed_axioms if compiled else CompiledKB(indexed_axioms)
-    result = _refute(kb, mask, True, kb.refutation(query), deadline, grown)
+    result = _refute(kb, mask, kb.refutation(query), deadline, grown)
     if result is None:
         raise NotEntailedError("query is not entailed by the given axioms")
     if compiled:

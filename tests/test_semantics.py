@@ -22,11 +22,14 @@ from probalc.kb import (
     And,
     AnnotatedAxiom,
     Atomic,
+    BOTTOM,
     ConceptAssertion,
     InstanceQuery,
     KnowledgeBase,
     Not,
     SubClassOf,
+    SubsumptionQuery,
+    TOP,
 )
 from probalc.semantics import (
     WORLD_LIMIT,
@@ -40,7 +43,7 @@ from probalc.semantics import (
 from probalc.pinpoint import Conj, Disj, Var, formula_from_justifications
 from probalc.tableau import _ATOM, _NOT, CompiledKB, ResourceLimitError, entails
 
-from conftest import branching_family
+from conftest import branching_family, ex_falso_family, witness_depth_family
 
 
 class TestWorlds:
@@ -229,6 +232,42 @@ class TestProbabilityQuery:
         kb, query, justification, probability = branching_family(6)
         result = probability_query(kb, query, RunConfig(method=method))
         assert result.covering.justifications == frozenset({justification})
+        assert math.isclose(result.probability, probability, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_witness_depth_family_closed_form(self, method, n):
+        """A witness chain n deep answers its one justification and p^(n+1)."""
+        kb, query, justification, probability = witness_depth_family(n)
+        result = probability_query(kb, query, RunConfig(method=method))
+        assert result.covering.justifications == frozenset({justification})
+        assert math.isclose(result.probability, probability, rel_tol=1e-12)
+
+    def test_witness_depth_family_against_bruteforce(self):
+        kb, query, _, probability = witness_depth_family(5)
+        assert math.isclose(probability_bruteforce(kb, query), probability, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("method", ["glassbox", "blackbox"])
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_ex_falso_family_closed_form(self, method, k):
+        """k independent inconsistencies answer k pairs and 1 - prod(1 - p_j)."""
+        kb, query, justifications, probability = ex_falso_family(k)
+        result = probability_query(kb, query, RunConfig(method=method))
+        assert result.covering.justifications == justifications
+        assert result.covering.hst_nodes == 2 ** (k + 1) - 1
+        assert math.isclose(result.probability, probability, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_ex_falso_family_against_bruteforce(self, k):
+        kb, query, _, probability = ex_falso_family(k)
+        assert math.isclose(probability_bruteforce(kb, query), probability, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_ex_falso_family_is_the_probability_of_inconsistency(self, k):
+        """``Top <= Bottom`` holds in the same worlds as the unrelated query."""
+        kb, _, justifications, probability = ex_falso_family(k)
+        result = probability_query(kb, SubsumptionQuery(TOP, BOTTOM))
+        assert result.covering.justifications == justifications
         assert math.isclose(result.probability, probability, rel_tol=1e-12)
 
     def test_unentailed_query(self, crime_kb):

@@ -69,7 +69,7 @@ from probalc.tableau import (
     trace_entailment,
 )
 
-from conftest import branching_family
+from conftest import branching_family, ex_falso_family, witness_depth_family
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -116,6 +116,19 @@ class TestConsistency:
         assert is_consistent(axioms)
         axioms.append(ConceptAssertion("a", Not(B)))
         assert not is_consistent(axioms)
+
+    @pytest.mark.parametrize("seed, inconsistent", [(2026, 56), (1, 43), (7, 47)])
+    def test_inconsistent_fuzz_kbs_are_pinned(self, seed, inconsistent):
+        """The counts of a corpus's KBs that have no model, all axioms taken."""
+        found = sum(not is_consistent(axioms_of(kb)) for kb, _ in fuzz_corpus(seed, 200))
+        assert found == inconsistent
+
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_ex_falso_family(self, k):
+        """Each chosen ``cj : Dj`` clashes with its certain complement."""
+        kb, *_ = ex_falso_family(k)
+        assert not is_consistent(axioms_of(kb))
+        assert is_consistent(a.axiom for a in kb.axioms if a.probability is None)
 
 
 class TestEntailment:
@@ -656,6 +669,12 @@ class TestWitnessCache:
         assert built == [41]
         assert peak < 1 << 20, peak
 
+    def test_a_trace_crosses_every_witness_graph(self, built):
+        """The clash in the deepest witness is traced to all n+1 axioms."""
+        kb, query, justification, _ = witness_depth_family(40)
+        assert trace_entailment(kb.indexed(), query) == justification
+        assert built == [41]
+
     def test_corpus_graphs_are_pinned(self, built):
         """The cache's saving as graph counts (36 and 1,339 without it)."""
         corpus = list(fuzz_corpus(2026, 200))
@@ -721,6 +740,18 @@ class TestCompiledKB:
             for atom in atoms:
                 assert compiled.comp[compiled.comp[atom]] == atom
                 assert compiled.comp[atom] != atom
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, ConceptAssertion("a", A)), (0, ConceptAssertion("a", Not(A)))], "0 is repeated"),
+            ([(-1, ConceptAssertion("a", A))], "-1 is negative"),
+        ],
+    )
+    def test_an_index_owns_one_bit(self, pairs, message):
+        """Two axioms sharing a bit would be traced as one."""
+        with pytest.raises(ValueError, match=f"axiom index {message}"):
+            trace_entailment(pairs, InstanceQuery("a", A))
 
     def test_interning_a_query_twice_adds_no_ids(self, crime_kb, crime_query):
         compiled = CompiledKB(crime_kb.indexed())
